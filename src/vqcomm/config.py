@@ -36,6 +36,10 @@ class QuantizerSettings:
     temperature: float = 1.0
     warmup_vectors: int = 512
 
+    def __post_init__(self):
+        if self.warmup_vectors < 1:
+            raise ConfigError(f"quantizer.warmup_vectors must be at least 1, got {self.warmup_vectors}")
+
 
 @dataclass
 class ModelSettings:

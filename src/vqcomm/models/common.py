@@ -54,6 +54,9 @@ class CommunicationQuantizer:
     ):
         if method not in ("vq", "gumbel"):
             raise ConfigError(f"unknown quantization method {method!r}")
+        if warmup_vectors < 1:
+            # the reservoir keeps the last warmup_vectors rows; [-0:] would keep all
+            raise ConfigError(f"warmup_vectors must be at least 1, got {warmup_vectors}")
         self.config = config
         self.codebook = Codebook(config.L, config.d)
         self.method = method

@@ -78,14 +78,44 @@ class MLP(Module):
         return x
 
 
-def _gru_gates(gx: Tensor, gh: Tensor, h: Tensor) -> Tensor:
-    xr, xz, xn = ad.split(gx, 3, axis=-1)
-    hr, hz, hn = ad.split(gh, 3, axis=-1)
-    r = ad.sigmoid(ad.add(xr, hr))
-    z = ad.sigmoid(ad.add(xz, hz))
-    n = ad.tanh(ad.add(xn, ad.mul(r, hn)))
-    one_minus_z = ad.add(ad.scale(z, -1.0), 1.0)
-    return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
+def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor) -> Tensor:
+    """GRU step as one tape node: ``h' = (1 - z) * n + z * h``.
+
+    Gates are ``[r, z, n]`` along the last axis of ``x @ w_x + b_x`` and
+    ``h @ w_h + b_h``. Weights may carry a leading module axis. The
+    backward repeats, op for op, the float order of the same cell built
+    from elementwise tape ops, so either form gives bit-identical
+    gradients.
+    """
+    gx = x.data @ w_x.data + b_x.data
+    gh = h.data @ w_h.data + b_h.data
+    xr, xz, xn = np.split(gx, 3, axis=-1)
+    hr, hz, hn = np.split(gh, 3, axis=-1)
+    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
+        r = 1.0 / (1.0 + np.exp(-(xr + hr)))
+        z = 1.0 / (1.0 + np.exp(-(xz + hz)))
+    n = np.tanh(xn + r * hn)
+    one_minus_z = z * -1.0 + 1.0
+    out = one_minus_z * n + z * h.data
+
+    def backward(g):
+        dn = g * one_minus_z * (1.0 - n * n)
+        dr = dn * hn * r * (1.0 - r)
+        dz = (g * h.data - g * n) * z * (1.0 - z)
+        dgx = np.concatenate([dr, dz, dn], axis=-1)
+        dgh = np.concatenate([dr, dz, dn * r], axis=-1)
+        if x.requires_grad:
+            ad._accum(x, ad._unbroadcast(dgx @ np.swapaxes(w_x.data, -1, -2), x.shape))
+        if h.requires_grad:
+            dh = ad._unbroadcast(dgh @ np.swapaxes(w_h.data, -1, -2), h.shape) + g * z
+            ad._accum(h, dh)
+        for w, b, inp, dg in ((w_x, b_x, x, dgx), (w_h, b_h, h, dgh)):
+            if w.requires_grad:
+                ad._accum(w, ad._unbroadcast(np.swapaxes(inp.data, -1, -2) @ dg, w.shape))
+            if b.requires_grad:
+                ad._accum(b, ad._unbroadcast(dg, b.shape))
+
+    return ad._node(out, (h, x, w_x, w_h, b_x, b_h), backward)
 
 
 class GRUCell(Module):
@@ -98,9 +128,7 @@ class GRUCell(Module):
         self.b_h = Parameter(np.zeros(3 * d_hidden), name=f"{name}.b_h")
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        gx = ad.add(ad.matmul(x, self.w_x), self.b_x)
-        gh = ad.add(ad.matmul(h, self.w_h), self.b_h)
-        return _gru_gates(gx, gh, h)
+        return gru_cell(h, x, self.w_x, self.w_h, self.b_x, self.b_h)
 
 
 class StackedGRU(Module):
@@ -122,6 +150,4 @@ class StackedGRU(Module):
 
     def __call__(self, h: Tensor, x: Tensor) -> Tensor:
         """h: (M, B, H); x: (B, d_in) shared by all modules -> (M, B, H)."""
-        gx = ad.add(ad.matmul(x, self.w_x), self.b_x)
-        gh = ad.add(ad.matmul(h, self.w_h), self.b_h)
-        return _gru_gates(gx, gh, h)
+        return gru_cell(h, x, self.w_x, self.w_h, self.b_x, self.b_h)

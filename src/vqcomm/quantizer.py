@@ -109,6 +109,31 @@ def segment(h, G: int) -> list[Tensor]:
     return ad.split(h, G, axis=-1)
 
 
+def _require_finite(where: str, x: np.ndarray, entries: np.ndarray) -> None:
+    if not (np.isfinite(x).all() and np.isfinite(entries).all()):
+        raise FloatingPointError(f"{where}: non-finite value in the vectors or the codebook")
+
+
+def code_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Squared distances (..., L) from each d-vector of ``x`` (..., d) to the rows of ``entries``.
+
+    Each distance is summed one dimension at a time, in the order of a
+    scalar loop over the coordinates. Non-finite input raises
+    ``FloatingPointError``: a NaN would otherwise snap silently to a code.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    _require_finite("nearest-code search", x, entries)
+    d2 = (x[..., 0, None] - entries[:, 0]) ** 2
+    for k in range(1, entries.shape[1]):
+        d2 += (x[..., k, None] - entries[:, k]) ** 2
+    return d2
+
+
+def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """0-based index of the nearest row of ``entries`` for each d-vector of ``x``; ties: lowest index."""
+    return code_distances(x, entries).argmin(axis=-1)
+
+
 def nearest_code(s, codebook: Codebook) -> int:
     """1-based index of the codebook row nearest to ``s`` (ties: lowest index)."""
     if not codebook.initialized:
@@ -116,14 +141,50 @@ def nearest_code(s, codebook: Codebook) -> int:
     s = np.asarray(s, dtype=np.float64)
     if s.shape != (codebook.d,):
         raise ShapeError(f"nearest_code: expected shape {(codebook.d,)}, got {s.shape}")
-    d2 = ((codebook.entries.data - s) ** 2).sum(axis=1)
-    return int(d2.argmin()) + 1
+    return int(nearest_indices(s, codebook.entries.data)) + 1
 
 
-def _nearest_indices(segments: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """0-based argmin over codebook rows for segments of shape (..., d)."""
-    d2 = ((segments[..., None, :] - entries) ** 2).sum(axis=-1)
-    return d2.argmin(axis=-1)
+def _check_input(h, config: QuantizerConfig, codebook: Codebook) -> Tensor:
+    if not codebook.initialized:
+        raise UninitializedCodebook("codebook must be initialized before quantize")
+    h = ad.as_tensor(h)
+    if h.shape[-1] != config.m:
+        raise ShapeError(f"quantize: expected last dim {config.m}, got {h.shape}")
+    if codebook.d != config.d:
+        raise ShapeError(f"quantize: codebook dim {codebook.d} != m/G = {config.d}")
+    return h
+
+
+def _snap_output(h: Tensor, z: Tensor, idx0: np.ndarray, config: QuantizerConfig, codebook: Codebook):
+    """Package ``z`` with the indices and the two auxiliary losses of heads ``idx0`` (B, G).
+
+    Each loss is one tape node over one shared ``diff``: the codebook loss
+    sends gradient only to the entries, the commitment loss only to ``h``.
+    Both are the squared head distance averaged over heads and vectors.
+    """
+    entries = codebook.entries
+    batch = idx0.shape[0]
+    diff = h.data.reshape(batch, config.G, config.d) - entries.data[idx0]
+    norm = 1.0 / (batch * config.G)
+    value = (diff * diff).sum(-1).sum() * norm
+    flat_idx = idx0.reshape(-1)
+
+    def codebook_backward(g):
+        if entries.grad is None:
+            entries.grad = np.zeros_like(entries.data)
+        np.add.at(entries.grad, flat_idx, (-2.0 * diff * (g * norm)).reshape(-1, config.d))
+
+    def commitment_backward(g):
+        ad._accum(h, (2.0 * diff * (g * norm)).reshape(h.shape))
+
+    indices = (idx0 + 1).astype(np.int64)
+    return QuantizationOutput(
+        z=z,
+        indices=indices[0] if h.ndim == 1 else indices,
+        codebook_loss=ad._node(value, (entries,), codebook_backward),
+        commitment_loss=ad._node(value, (h,), commitment_backward),
+        num_vectors=batch,
+    )
 
 
 def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutput:
@@ -132,40 +193,12 @@ def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutp
     ``h`` may be a single vector of length m or a batch of shape (B, m).
     Losses are the per-vector head averages, then averaged over the batch.
     """
-    if not codebook.initialized:
-        raise UninitializedCodebook("codebook must be initialized before quantize")
-    h = ad.as_tensor(h)
-    if h.shape[-1] != config.m:
-        raise ShapeError(f"quantize: expected last dim {config.m}, got {h.shape}")
-    if codebook.d != config.d:
-        raise ShapeError(f"quantize: codebook dim {codebook.d} != m/G = {config.d}")
-    single = h.ndim == 1
-    hb = ad.reshape(h, (1, config.m)) if single else h
-    batch = hb.shape[0]
-
-    segs = ad.reshape(hb, (batch, config.G, config.d))
-    idx0 = _nearest_indices(segs.data, codebook.entries.data)
-    picked = ad.gather_rows(codebook.entries, idx0)  # (B, G, d), grads -> codebook
-
+    h = _check_input(h, config, codebook)
+    batch = 1 if h.ndim == 1 else h.shape[0]
+    idx0 = nearest_indices(h.data.reshape(batch, config.G, config.d), codebook.entries.data)
     # straight-through: forward value is the snapped vector, backward is identity on h
-    zq = codebook.entries.data[idx0].reshape(batch, config.m)
-    z = ad.straight_through(hb, zq)
-
-    norm = 1.0 / (batch * config.G)
-    codebook_loss = ad.scale(ad.tsum(ad.sqdist(ad.stop_gradient(segs), picked)), norm)
-    commitment_loss = ad.scale(ad.tsum(ad.sqdist(segs, ad.stop_gradient(picked))), norm)
-
-    indices = (idx0 + 1).astype(np.int64)
-    if single:
-        z = ad.reshape(z, (config.m,))
-        indices = indices[0]
-    return QuantizationOutput(
-        z=z,
-        indices=indices,
-        codebook_loss=codebook_loss,
-        commitment_loss=commitment_loss,
-        num_vectors=batch,
-    )
+    z = ad.straight_through(h, codebook.entries.data[idx0].reshape(h.shape))
+    return _snap_output(h, z, idx0, config, codebook)
 
 
 def gumbel_quantize(
@@ -186,15 +219,11 @@ def gumbel_quantize(
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-    if not codebook.initialized:
-        raise UninitializedCodebook("codebook must be initialized before quantize")
-    h = ad.as_tensor(h)
-    single = h.ndim == 1
-    hb = ad.reshape(h, (1, config.m)) if single else h
-    batch = hb.shape[0]
+    h = _check_input(h, config, codebook)
+    _require_finite("gumbel_quantize", h.data, codebook.entries.data)
+    batch = 1 if h.ndim == 1 else h.shape[0]
 
-    segs = ad.reshape(hb, (batch, config.G, config.d))
-    seg4 = ad.reshape(segs, (batch, config.G, 1, config.d))
+    seg4 = ad.reshape(h, (batch, config.G, 1, config.d))
     logits = ad.scale(ad.sqdist(seg4, codebook.entries), -1.0)  # (B, G, L)
     if noise is None:
         if rng is None:
@@ -202,31 +231,12 @@ def gumbel_quantize(
         noise = rng.gumbel(size=logits.shape)
     noise = np.broadcast_to(np.asarray(noise, dtype=np.float64), logits.shape)
     y = ad.softmax(ad.scale(ad.add(logits, Tensor(noise)), 1.0 / temperature))
-    z_soft = ad.reshape(ad.matmul(y, codebook.entries), (batch, config.m))
+    z = ad.reshape(ad.matmul(y, codebook.entries), h.shape)
 
     idx0 = (logits.data + noise).argmax(axis=-1)
     if hard:
-        zq = codebook.entries.data[idx0].reshape(batch, config.m)
-        z = ad.straight_through(z_soft, zq)
-    else:
-        z = z_soft
-
-    picked = ad.gather_rows(codebook.entries, idx0)
-    norm = 1.0 / (batch * config.G)
-    codebook_loss = ad.scale(ad.tsum(ad.sqdist(ad.stop_gradient(segs), picked)), norm)
-    commitment_loss = ad.scale(ad.tsum(ad.sqdist(segs, ad.stop_gradient(picked))), norm)
-
-    indices = (idx0 + 1).astype(np.int64)
-    if single:
-        z = ad.reshape(z, (config.m,))
-        indices = indices[0]
-    return QuantizationOutput(
-        z=z,
-        indices=indices,
-        codebook_loss=codebook_loss,
-        commitment_loss=commitment_loss,
-        num_vectors=batch,
-    )
+        z = ad.straight_through(z, codebook.entries.data[idx0].reshape(h.shape))
+    return _snap_output(h, z, idx0, config, codebook)
 
 
 def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
@@ -249,19 +259,29 @@ def _sum_scalars(ts: list[Tensor]) -> Tensor:
     return total
 
 
-def codebook_stats(outputs, L: int | None = None) -> CodebookStats:
-    """Usage histogram over code indices and its exponentiated entropy."""
+def usage_counts(indices, L: int) -> np.ndarray:
+    """Histogram (length L) of 1-based code indices of any shape."""
+    return np.bincount(np.asarray(indices).reshape(-1) - 1, minlength=L)[:L]
+
+
+def codebook_stats(outputs, L: int | None = None, usage: np.ndarray | None = None) -> CodebookStats:
+    """Usage histogram over code indices and its exponentiated entropy.
+
+    ``usage``, when given, is a histogram of earlier indices that the
+    indices of ``outputs`` are added to.
+    """
     if isinstance(outputs, QuantizationOutput):
         outputs = [outputs]
     outputs = list(outputs)
+    if usage is not None:
+        L = len(usage)
     if L is None:
         if not outputs:
             return CodebookStats(usage=np.zeros(0, dtype=np.int64), perplexity=1.0)
         L = int(max(int(np.max(o.indices)) for o in outputs))
-    usage = np.zeros(L, dtype=np.int64)
+    usage = np.zeros(L, dtype=np.int64) if usage is None else np.array(usage, dtype=np.int64)
     for o in outputs:
-        flat = np.asarray(o.indices).reshape(-1)
-        usage += np.bincount(flat - 1, minlength=L)[:L]
+        usage += usage_counts(o.indices, L)
     total = usage.sum()
     if total == 0:
         return CodebookStats(usage=usage, perplexity=1.0)
@@ -286,8 +306,7 @@ def lloyd(samples: np.ndarray, L: int, iters: int, rng: np.random.Generator) -> 
     centroids = samples[seed_idx].copy()
     prev_assign = None
     for _ in range(iters):
-        d2 = ((samples[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        assign = d2.argmin(axis=1)
+        assign = nearest_indices(samples, centroids)
         for j in range(L):
             members = samples[assign == j]
             if len(members):
@@ -317,8 +336,7 @@ def kmeans_init(samples: np.ndarray, L: int, iters: int = 25, seed: int | np.ran
 
 
 def inertia(samples: np.ndarray, centroids: np.ndarray) -> float:
-    d2 = ((samples[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-    return float(d2.min(axis=1).sum())
+    return float(code_distances(samples, centroids).min(axis=1).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +381,19 @@ def load_codebook(path, fmt: str = "binary") -> tuple[Codebook, QuantizerConfig]
         with open(path, "rb") as f:
             raw = f.read()
         head_size = struct.calcsize("<4sIIIIdd")
+        if len(raw) < head_size:
+            raise ValueError(f"{path}: truncated codebook file ({len(raw)} bytes, header needs {head_size})")
         magic, version, L, G, m, beta, weight = struct.unpack("<4sIIIIdd", raw[:head_size])
         if magic != BINARY_MAGIC:
-            raise ValueError(f"not a codebook file (magic {magic!r})")
+            raise ValueError(f"{path}: not a codebook file (magic {magic!r})")
         if version != BINARY_VERSION:
-            raise ValueError(f"unsupported codebook version {version}")
+            raise ValueError(f"{path}: unsupported codebook version {version}")
         config = QuantizerConfig(L=L, G=G, m=m, beta=beta, codebook_loss_weight=weight)
+        payload = L * config.d * 8
+        if len(raw) - head_size != payload:
+            raise ValueError(
+                f"{path}: codebook payload is {len(raw) - head_size} bytes, header L={L}, d={config.d} needs {payload}"
+            )
         entries = np.frombuffer(raw[head_size:], dtype=np.float64).reshape(L, config.d).copy()
     elif fmt == "json":
         with open(path) as f:

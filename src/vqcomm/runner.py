@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .models.gnn import ContrastiveWorldModel
 from .models.rim import RimModel, RimRegressor
 from .nn import Parameter
 from .optim import Adam, SGD, clip_global_norm, fill_missing_grads
-from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss
+from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss, usage_counts
 from .seeding import stream_rng
 from .tasks import (
     encode_actions,
@@ -194,12 +194,16 @@ def _make_optimizer(config: ExperimentConfig, params: list[Parameter]):
 
 @dataclass
 class _EpochAccumulator:
+    """Running epoch sums. Code usage goes straight into a histogram, so the
+    epoch holds no quantization output (nor the graph behind it)."""
+
+    L: int | None = None
     task: float = 0.0
     codebook: float = 0.0
     commitment: float = 0.0
     total: float = 0.0
     batches: int = 0
-    qouts: list = field(default_factory=list)
+    usage: np.ndarray | None = None  # None until a quantized batch arrives
 
     def add(self, task_loss, cb, cm, total, qouts):
         self.task += task_loss
@@ -207,13 +211,15 @@ class _EpochAccumulator:
         self.commitment += cm
         self.total += total
         self.batches += 1
-        self.qouts.extend(qouts)
+        for q in qouts:
+            counts = usage_counts(q.indices, self.L)
+            self.usage = counts if self.usage is None else self.usage + counts
 
-    def row(self, epoch: int, L: int | None, discretize: bool) -> dict:
+    def row(self, epoch: int) -> dict:
         b = max(self.batches, 1)
         perplexity = None
-        if discretize and self.qouts:
-            perplexity = codebook_stats(self.qouts, L=L).perplexity
+        if self.usage is not None:
+            perplexity = codebook_stats([], usage=self.usage).perplexity
         return {
             "epoch": epoch,
             "task_loss": self.task / b,
@@ -235,8 +241,11 @@ def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn
     qcfg = quantizer.config if quantizer is not None else None
     rows = []
     for epoch in range(config.training.epochs):
-        acc = _EpochAccumulator()
-        for batch in batches_fn(epoch, train_rng):
+        acc = _EpochAccumulator(L=qcfg.L if qcfg else None)
+        for i, batch in enumerate(batches_fn(epoch, train_rng)):
+            # the previous batch's graph stays referenced until this forward
+            # is built: freed any earlier, its pages go back to the OS and the
+            # forward faults them in again (gridworld-vq ran 36% slower)
             task_loss, qouts = loss_fn(batch)
             loss = task_loss
             cb = cm = 0.0
@@ -245,6 +254,8 @@ def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn
                 loss = ad.add(loss, aux)
                 cb = float(np.mean([q.codebook_loss.item() for q in qouts]))
                 cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
+            if not np.isfinite(loss.data):
+                raise FloatingPointError(f"non-finite training loss {loss.item()} at epoch {epoch}, batch {i}")
             for p in params:
                 p.zero_grad()
             ad.backward(loss)
@@ -256,7 +267,7 @@ def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn
         # warmup (identity quantizer, collecting) lasts the first epoch
         if quantizer is not None and not quantizer.active:
             quantizer.initialize(seed=stream_rng(config.seed, "codebook"))
-        rows.append(acc.row(epoch, qcfg.L if qcfg else None, quantizer is not None))
+        rows.append(acc.row(epoch))
     return rows
 
 

@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .nn import Parameter
 from .optim import Adam
-from .quantizer import Codebook, QuantizerConfig, kmeans_init, quantize
+from .quantizer import Codebook, QuantizerConfig, kmeans_init, nearest_indices, quantize
 
 _MAX_ENUMERABLE_CELLS = 4096
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
@@ -114,10 +114,7 @@ class TrialRecord:
 
 def _cell_ids(samples: np.ndarray, entries: np.ndarray, L: int, G: int) -> np.ndarray:
     """Map each sample to the id of its quantization cell (0 .. L^G - 1)."""
-    d = entries.shape[1]
-    segs = samples.reshape(samples.shape[0], G, d)
-    d2 = ((segs[:, :, None, :] - entries[None, None, :, :]) ** 2).sum(axis=-1)
-    idx = d2.argmin(axis=-1)
+    idx = nearest_indices(samples.reshape(samples.shape[0], G, entries.shape[1]), entries)
     weights = L ** np.arange(G, dtype=np.int64)
     return idx @ weights
 
@@ -199,7 +196,7 @@ def gaussian_variance_sweep(
                 rng = _sub_rng(seed, L, G, t)
                 x = rng.standard_normal((samples, m))
                 book = kmeans_init(x.reshape(samples * G, d), L, seed=rng)
-                idx = _cell_indices_per_head(x, book.entries.data, G)
+                idx = nearest_indices(x.reshape(samples, G, d), book.entries.data)
                 q = book.entries.data[idx].reshape(samples, m)
                 variances[t] = _total_variance(q)
                 raw[t] = x.var(axis=0).sum()
@@ -214,13 +211,6 @@ def gaussian_variance_sweep(
                 }
             )
     return rows
-
-
-def _cell_indices_per_head(x: np.ndarray, entries: np.ndarray, G: int) -> np.ndarray:
-    d = entries.shape[1]
-    segs = x.reshape(x.shape[0], G, d)
-    d2 = ((segs[:, :, None, :] - entries[None, None, :, :]) ** 2).sum(axis=-1)
-    return d2.argmin(axis=-1)
 
 
 def _total_variance(q: np.ndarray) -> float:
@@ -241,23 +231,18 @@ def vector_field(grid_range: float, grid_steps: int, codebook: Codebook) -> list
     if codebook.d != 2:
         raise ValueError(f"vector_field needs 2-D codes, got d = {codebook.d}")
     axis = np.linspace(-grid_range, grid_range, grid_steps)
-    rows = []
-    for x in axis:
-        for y in axis:
-            point = np.array([x, y])
-            d2 = ((codebook.entries.data - point) ** 2).sum(axis=1)
-            j = int(d2.argmin())
-            code = codebook.entries.data[j]
-            rows.append(
-                {
-                    "x": float(x),
-                    "y": float(y),
-                    "dx": float(code[0] - x),
-                    "dy": float(code[1] - y),
-                    "code": j + 1,
-                }
-            )
-    return rows
+    points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    codes = nearest_indices(points, codebook.entries.data)
+    return [
+        {
+            "x": float(x),
+            "y": float(y),
+            "dx": float(code[0] - x),
+            "dy": float(code[1] - y),
+            "code": int(j) + 1,
+        }
+        for (x, y), j, code in zip(points, codes, codebook.entries.data[codes])
+    ]
 
 
 def attention_robustness(

@@ -148,3 +148,38 @@ def test_sweep_subcommand(tmp_path):
     lines = (tmp_path / "s_sweep.csv").read_text().splitlines()
     assert lines[0] == "L,G,seed,split,loss"
     assert len(lines) == 1 + 2 * 3  # two grid cells, three splits each
+
+
+def test_truncated_codebook_is_config_error(tmp_path, capsys):
+    cfg = QuantizerConfig(L=3, G=2, m=4)
+    book = Codebook(3, 2, entries=np.zeros((3, 2)), initialized=True)
+    path = tmp_path / "book.vqcb"
+    save_codebook(path, book, cfg)
+    path.write_bytes(path.read_bytes()[:12])
+    assert main(["quantize", "--codebook", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_warmup_vectors_zero_is_config_error():
+    assert main(["run", "adding", "--set", "quantizer.discretize=true", "--set", "quantizer.warmup_vectors=0"]) == 2
+
+
+def test_non_finite_vector_is_runtime_failure(tmp_path):
+    rng = np.random.default_rng(0)
+    cfg = QuantizerConfig(L=3, G=2, m=4)
+    book = Codebook(3, 2, entries=rng.normal(size=(3, 2)), initialized=True)
+    path = tmp_path / "book.vqcb"
+    save_codebook(path, book, cfg)
+    result = _run(["quantize", "--codebook", str(path)], stdin_text="nan 0.0 1.0 1.0\n")
+    assert result.returncode == 1
+    assert "non-finite" in result.stderr
+
+
+def test_diverging_run_is_runtime_failure(capsys):
+    argv = ["run", "adding", "--set", "training.lr=1e300", "--set", "training.epochs=1"]
+    for key, value in [("task.seq_len", 5), ("task.train_gap", 3), ("task.train_count", 12), ("task.eval_count", 6),
+                       ("training.batch_size", 6), ("model.hidden", 8), ("model.modules", 2), ("model.k", 1)]:
+        argv += ["--set", f"{key}={value}"]
+    with np.errstate(all="ignore"):
+        assert main(argv) == 1
+    assert "non-finite training loss" in capsys.readouterr().err

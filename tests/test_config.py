@@ -100,3 +100,10 @@ def test_merge_overrides():
     base = {"kind": "adding", "quantizer": {"L": 8}}
     merged = merge_overrides(base, {"quantizer": {"G": 2}, "seed": 4})
     assert merged == {"kind": "adding", "quantizer": {"L": 8, "G": 2}, "seed": 4}
+
+
+@pytest.mark.parametrize("value", [0, -5])
+def test_warmup_vectors_must_be_positive(value):
+    # [-0:] keeps every row, so a zero reservoir bound would never bound anything
+    with pytest.raises(ConfigError, match="warmup_vectors"):
+        config_from_dict({"quantizer": {"warmup_vectors": value}})

@@ -552,3 +552,8 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
     other = RimModel(np.random.default_rng(0), input_dim=2, hidden=8, num_modules=2, k=1)
     with pytest.raises(ValueError):
         restore_into(other, None, load_checkpoint(path))
+
+
+def test_quantizer_rejects_empty_warmup_reservoir():
+    with pytest.raises(ConfigError, match="warmup_vectors"):
+        CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=0)

@@ -445,3 +445,47 @@ def test_codebook_json_roundtrip(tmp_path):
     loaded, loaded_cfg = load_codebook(path, fmt="json")
     assert np.array_equal(loaded.entries.data, book.entries.data)
     assert loaded_cfg == cfg
+
+
+@pytest.mark.parametrize("cut", ["header", "payload"])
+def test_truncated_codebook_file_names_the_file(tmp_path, cut):
+    cfg = QuantizerConfig(L=4, G=2, m=4)
+    path = tmp_path / "book.vqcb"
+    save_codebook(path, _book(WORKED_ROWS), cfg, fmt="binary")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:10] if cut == "header" else raw[:-8])
+    with pytest.raises(ValueError, match="book.vqcb"):
+        load_codebook(path, fmt="binary")
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vector_is_not_snapped(bad):
+    # a NaN head used to compare False against every code and snap to code 1
+    book = _book(WORKED_ROWS)
+    h = np.array(WORKED_H)
+    h[1] = bad
+    with pytest.raises(FloatingPointError):
+        quantize(Tensor(h), WORKED_CFG, book)
+    with pytest.raises(FloatingPointError):
+        gumbel_quantize(Tensor(h), WORKED_CFG, book, temperature=1.0, noise=0.0, hard=True)
+    with pytest.raises(FloatingPointError):
+        nearest_code(h[:2], book)
+
+
+def test_non_finite_codebook_is_rejected():
+    rows = np.array(WORKED_ROWS)
+    rows[2, 0] = np.nan
+    with pytest.raises(FloatingPointError):
+        quantize(Tensor(WORKED_H), WORKED_CFG, _book(rows))
+
+
+def test_kmeans_rejects_non_finite_samples():
+    samples = np.random.default_rng(3).normal(size=(20, 2))
+    samples[7, 1] = np.nan
+    with pytest.raises(FloatingPointError):
+        kmeans_init(samples, 3, seed=0)

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from vqcomm import autodiff
 from vqcomm.config import config_from_dict
 from vqcomm.models.common import ConfigError
 from vqcomm.runner import (
@@ -214,3 +216,38 @@ def test_wall_time_recorded():
     record = run(config_from_dict(TINY_ADDING))
     assert record.wall_time > 0
     assert isinstance(record, RunRecord)
+
+
+def test_non_finite_loss_names_epoch_and_batch():
+    # an Adam step this large sends every weight past float range after one batch
+    cfg = {
+        **TINY_ADDING,
+        "training": {"epochs": 1, "batch_size": 12, "lr": 1e300},
+        "quantizer": {"discretize": False},
+    }
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="epoch 0, batch 1"):
+            run(config_from_dict(cfg))
+
+
+def test_epoch_memory_does_not_grow_with_batches(monkeypatch):
+    """Live traced memory after each backward pass stays flat across a quantized epoch."""
+    batches = 8
+    live = []
+    original = autodiff.backward
+
+    def recording(loss):
+        original(loss)
+        live.append(tracemalloc.get_traced_memory()[0])
+
+    monkeypatch.setattr(autodiff, "backward", recording)
+    cfg = {**TINY_ADDING, "task": {**TINY_ADDING["task"], "train_count": 12 * batches}}
+    tracemalloc.start()
+    try:
+        run(config_from_dict(cfg))
+    finally:
+        tracemalloc.stop()
+    quantized = live[batches:]  # epoch 0 is the warmup
+    # one batch's graph at this size holds about 1.7 MB; keeping the graphs
+    # until the epoch ends grew live memory by that much per batch
+    assert (quantized[-1] - quantized[1]) / (batches - 2) < 16 * 1024
