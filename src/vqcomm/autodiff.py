@@ -2,12 +2,15 @@
 
 Every op builds one node of an implicit tape (parent links + a backward
 closure); ``backward`` walks the tape once in reverse topological order.
-The tape is rebuilt on every forward pass and discarded after use.
+The tape is rebuilt on every forward pass and discarded after use. An op
+whose parents all have ``requires_grad`` False builds no node, so a forward
+inside ``no_grad(params)`` keeps no tape.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +100,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g
+
+
+@contextmanager
+def no_grad(tensors: Iterable[Tensor]) -> Iterator[None]:
+    """Clear ``requires_grad`` on ``tensors`` for the block.
+
+    Ops link parents only when one requires grad, so a forward whose leaves
+    are all frozen computes the same values and builds no tape. Each tensor
+    gets its previous flag back on exit, also after an exception.
+    """
+    tensors = list(tensors)
+    saved = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, flag in zip(tensors, saved):
+            t.requires_grad = flag
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:

@@ -14,10 +14,11 @@ import sys
 
 import numpy as np
 
+from . import autodiff as ad
 from . import runner, theory
 from .config import ExperimentConfig, config_from_dict, merge_overrides, parse_assignments
 from .models.common import ConfigError
-from .quantizer import load_codebook, quantize
+from .quantizer import Codebook, QuantizerConfig, load_codebook, quantize
 from .autodiff import Tensor
 
 log = logging.getLogger("vqcomm")
@@ -31,7 +32,10 @@ def _build_config(args) -> ExperimentConfig:
         if text.lstrip().startswith("{"):
             import json
 
-            data = json.loads(text)
+            try:
+                data = json.loads(text)
+            except ValueError as e:
+                raise ConfigError(f"{args.config}: {e}") from e
         else:
             pairs = [
                 line.split("#", 1)[0].strip()
@@ -62,7 +66,10 @@ def _add_config_flags(p: argparse.ArgumentParser, kind_positional: bool = False)
 
 
 def _ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v.strip()]
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError as e:
+        raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
 
 
 def cmd_run(args) -> int:
@@ -159,14 +166,20 @@ def cmd_gaussian(args) -> int:
     return 0
 
 
+def _load_codebook(path, fmt: str) -> tuple[Codebook, QuantizerConfig]:
+    """``load_codebook`` with a malformed file reported as a config error."""
+    try:
+        return load_codebook(path, fmt=fmt)
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
 def cmd_vector_field(args) -> int:
     if args.codebook:
-        book, _ = load_codebook(args.codebook, fmt=args.format)
+        book, _ = _load_codebook(args.codebook, args.format)
         if book.d != 2:
             raise ConfigError(f"vector-field needs 2-D codes, got d={book.d}")
     else:
-        from .quantizer import Codebook
-
         rng = np.random.default_rng(args.seed)
         book = Codebook(args.L, 2, entries=rng.normal(size=(args.L, 2)), initialized=True)
     rows = theory.vector_field(args.range, args.steps, book)
@@ -180,18 +193,22 @@ def cmd_vector_field(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    book, cfg = load_codebook(args.codebook, fmt=args.format)
-    for line in sys.stdin:
-        line = line.strip().replace(",", " ")
-        if not line:
-            continue
-        vec = np.array([float(v) for v in line.split()])
-        if vec.size != cfg.m:
-            raise ConfigError(f"expected {cfg.m} values per line, got {vec.size}")
-        out = quantize(Tensor(vec), cfg, book)
-        z = " ".join(format(v, ".17g") for v in out.z.data)
-        idx = " ".join(str(int(i)) for i in out.indices)
-        print(f"{z} | {idx}")
+    book, cfg = _load_codebook(args.codebook, args.format)
+    with ad.no_grad([book.entries]):
+        for line in sys.stdin:
+            line = line.strip().replace(",", " ")
+            if not line:
+                continue
+            try:
+                vec = np.array([float(v) for v in line.split()])
+            except ValueError as e:
+                raise ConfigError(f"cannot parse {line!r} as numbers") from e
+            if vec.size != cfg.m:
+                raise ConfigError(f"expected {cfg.m} values per line, got {vec.size}")
+            out = quantize(Tensor(vec), cfg, book)
+            z = " ".join(format(v, ".17g") for v in out.z.data)
+            idx = " ".join(str(int(i)) for i in out.indices)
+            print(f"{z} | {idx}")
     return 0
 
 
@@ -272,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.fn(args)
     except (ConfigError, FileNotFoundError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import logging
 
 import numpy as np
 
@@ -21,6 +22,8 @@ VALID_SITES = {
     "rim": ("communication_result", "communication_input", "recurrent_update", "raw_input"),
     "transformer": ("communication_result",),
 }
+
+log = logging.getLogger("vqcomm")
 
 
 class ConfigError(ValueError):
@@ -97,6 +100,13 @@ class CommunicationQuantizer:
         """Run k-means over the collected warmup vectors and enable quantization."""
         if not len(self._reservoir):
             raise ConfigError("no vectors collected for codebook initialization")
+        if len(self._reservoir) < self.config.L:
+            # lloyd then seeds with replacement, so some codes start as duplicates
+            log.warning(
+                "k-means reservoir holds %d vectors, fewer than the %d codes: the codebook starts with duplicate codes",
+                len(self._reservoir),
+                self.config.L,
+            )
         book = kmeans_init(self._reservoir, self.config.L, seed=seed)
         self.codebook.set_entries(book.entries.data)
         self._reservoir = np.zeros((0, self.config.d))

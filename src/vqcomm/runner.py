@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,7 +175,10 @@ def _build_quantizer(config: ExperimentConfig, m: int) -> CommunicationQuantizer
     q = config.quantizer
     if not q.discretize:
         return None
-    qc = QuantizerConfig(L=q.L, G=q.G, m=m, beta=q.beta, codebook_loss_weight=q.codebook_loss_weight)
+    try:
+        qc = QuantizerConfig(L=q.L, G=q.G, m=m, beta=q.beta, codebook_loss_weight=q.codebook_loss_weight)
+    except ValueError as e:
+        raise ConfigError(f"quantizer: {e}") from e
     return CommunicationQuantizer(
         qc,
         method=q.method,
@@ -271,6 +275,23 @@ def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn
     return rows
 
 
+@contextmanager
+def _evaluation(quantizer: CommunicationQuantizer | None, params: list[Parameter]):
+    """Evaluation mode for the block: the forward builds no tape over
+    ``params`` (model parameters and codebook entries), and a gumbel
+    quantizer snaps to its argmax code. Both are undone on exit, also
+    after an exception."""
+    with ad.no_grad(params):
+        if quantizer is None:
+            yield
+            return
+        hard, quantizer.hard = quantizer.hard, True
+        try:
+            yield
+        finally:
+            quantizer.hard = hard
+
+
 def _shuffled_batches(count: int, batch_size: int, rng: np.random.Generator):
     order = rng.permutation(count)
     for start in range(0, count, batch_size):
@@ -288,12 +309,8 @@ def _adding_arrays(samples):
     return inputs, targets
 
 
-def _eval_adding(regressor, quantizer, inputs, targets) -> float:
-    if quantizer is not None:
-        quantizer.hard = True
+def _eval_adding(regressor, inputs, targets) -> float:
     pred, _ = regressor(inputs)
-    if quantizer is not None:
-        quantizer.hard = False
     return float(((pred.data - targets) ** 2).mean())
 
 
@@ -334,10 +351,10 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
         return ad.mse(pred, Tensor(train_targets[idx])), qouts
 
     epochs = _train_loop(config, quantizer, params, batches, loss_fn)
-    final = {
-        name: {"loss": _eval_adding(regressor, quantizer, *_adding_arrays(samples))}
-        for name, samples in splits.items()
-    }
+    with _evaluation(quantizer, params):
+        final = {
+            name: {"loss": _eval_adding(regressor, *_adding_arrays(samples))} for name, samples in splits.items()
+        }
     return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
 
 
@@ -353,12 +370,8 @@ def _gridworld_arrays(transitions, grid_size):
     return obs, act, nxt
 
 
-def _eval_gridworld(model, quantizer, obs, act, nxt) -> dict:
-    if quantizer is not None:
-        quantizer.hard = True
+def _eval_gridworld(model, obs, act, nxt) -> dict:
     pred, _ = model.predict_next(obs, act)
-    if quantizer is not None:
-        quantizer.hard = False
     latents = model.encode(nxt).data.reshape(len(obs), -1)
     preds = pred.data.reshape(len(obs), -1)
     ranks = [rank_next_state(preds[i], latents, true_index=i) for i in range(len(obs))]
@@ -401,10 +414,10 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
         return model.contrastive_loss(obs[idx], act[idx], nxt[idx], obs[neg])
 
     epochs = _train_loop(config, quantizer, params, batches, loss_fn)
-    final = {
-        name: _eval_gridworld(model, quantizer, *_gridworld_arrays(trans, t.grid_size))
-        for name, trans in splits.items()
-    }
+    with _evaluation(quantizer, params):
+        final = {
+            name: _eval_gridworld(model, *_gridworld_arrays(trans, t.grid_size)) for name, trans in splits.items()
+        }
     return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
 
 
@@ -422,12 +435,8 @@ def _gen_copy_batch(rng, count, length, vocab):
     return tokens, marks, labels
 
 
-def _eval_transformer(model, quantizer, tokens, marks, labels) -> dict:
-    if quantizer is not None:
-        quantizer.hard = True
+def _eval_transformer(model, tokens, marks, labels) -> dict:
     logits, _ = model(tokens, marks)
-    if quantizer is not None:
-        quantizer.hard = False
     loss = ad.cross_entropy(logits, labels).item()
     acc = float((logits.data.argmax(axis=1) == labels).mean())
     return {"loss": loss, "accuracy": acc}
@@ -463,7 +472,8 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
         return ad.cross_entropy(logits, train_labels[idx]), qouts
 
     epochs = _train_loop(config, quantizer, params, batches, loss_fn)
-    final = {name: _eval_transformer(model, quantizer, *data) for name, data in splits.items()}
+    with _evaluation(quantizer, params):
+        final = {name: _eval_transformer(model, *data) for name, data in splits.items()}
     return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .models.common import ConfigError
 from .nn import Parameter
 from .optim import Adam
 from .quantizer import Codebook, QuantizerConfig, kmeans_init, nearest_indices, quantize
@@ -43,17 +44,17 @@ class BoundInputs:
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must lie in (0,1), got {self.delta}")
+            raise ConfigError(f"delta must lie in (0,1), got {self.delta}")
         if self.n < 1:
-            raise ValueError(f"sample count must be positive, got {self.n}")
+            raise ConfigError(f"sample count must be positive, got {self.n}")
         if self.L < 1 or self.m < 1:
-            raise ValueError("L and m must be positive")
+            raise ConfigError("L and m must be positive")
         if self.G < 0:
-            raise ValueError(f"head count must be non-negative, got {self.G}")
+            raise ConfigError(f"head count must be non-negative, got {self.G}")
         if self.alpha < 0 or self.R_H < 0 or self.varsigma_bar < 0:
-            raise ValueError("alpha, R_H and varsigma_bar must be non-negative")
+            raise ConfigError("alpha, R_H and varsigma_bar must be non-negative")
         if self.rho < 1:
-            raise ValueError(f"rho must be a positive integer, got {self.rho}")
+            raise ConfigError(f"rho must be a positive integer, got {self.rho}")
 
 
 def bound_with_discretization(inputs: BoundInputs) -> float:
@@ -138,7 +139,7 @@ def verify_hoeffding(
     """
     cells = L**G
     if cells > _MAX_ENUMERABLE_CELLS:
-        raise ValueError(f"L^G = {cells} exceeds enumeration guard {_MAX_ENUMERABLE_CELLS}")
+        raise ConfigError(f"L^G = {cells} exceeds enumeration guard {_MAX_ENUMERABLE_CELLS}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     entries = rng.normal(size=(L, d))
     m = G * d
@@ -188,7 +189,7 @@ def gaussian_variance_sweep(
     for L in L_values:
         for G in G_values:
             if m % G != 0:
-                raise ValueError(f"m = {m} not divisible by G = {G}")
+                raise ConfigError(f"m = {m} not divisible by G = {G}")
             d = m // G
             variances = np.zeros(trials)
             raw = np.zeros(trials)
@@ -325,11 +326,11 @@ def attention_robustness(
 
     eval_rng = _sub_rng(seed, 3)
     items, labels = make_batch(eval_rng, eval_episodes, test_distractors)
-    logits, _, _ = forward(items, quantizing=quantizing)
-    accuracy = float((logits.data.argmax(axis=1) == labels).mean())
-
     train_items, train_labels = make_batch(eval_rng, eval_episodes, train_distractors)
-    train_logits, _, _ = forward(train_items, quantizing=quantizing)
+    with ad.no_grad([query, book.entries]):
+        logits, _, _ = forward(items, quantizing=quantizing)
+        train_logits, _, _ = forward(train_items, quantizing=quantizing)
+    accuracy = float((logits.data.argmax(axis=1) == labels).mean())
     train_accuracy = float((train_logits.data.argmax(axis=1) == train_labels).mean())
     return {
         "accuracy": accuracy,

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+from vqcomm import runner
+from vqcomm.autodiff import ShapeError
 from vqcomm.cli import main
 from vqcomm.quantizer import Codebook, QuantizerConfig, save_codebook
 
@@ -183,3 +185,35 @@ def test_diverging_run_is_runtime_failure(capsys):
     with np.errstate(all="ignore"):
         assert main(argv) == 1
     assert "non-finite training loss" in capsys.readouterr().err
+
+
+_TINY_ADDING_FLAGS = [
+    f"--set={key}={value}"
+    for key, value in [("task.seq_len", 5), ("task.train_gap", 3), ("task.train_count", 12), ("task.eval_count", 6),
+                       ("training.epochs", 1), ("training.batch_size", 6), ("model.hidden", 8), ("model.modules", 2),
+                       ("model.k", 1)]
+]
+
+
+def test_shape_error_during_run_is_runtime_failure(monkeypatch, capsys):
+    def failing_train_loop(*args, **kwargs):
+        raise ShapeError("matmul: shapes (3, 4) and (5, 6) do not align")
+
+    monkeypatch.setattr(runner, "_train_loop", failing_train_loop)
+    assert main(["run", "adding", *_TINY_ADDING_FLAGS]) == 1
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_zero_codebook_size_is_config_error(capsys):
+    assert main(["run", "adding", "--set", "quantizer.discretize=true", "--set", "quantizer.L=0"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_malformed_json_config_is_config_error(tmp_path):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text('{"kind": "bounds",')
+    assert main(["run", "--config", str(cfg)]) == 2
+
+
+def test_bad_bound_inputs_are_config_error():
+    assert main(["bounds", "--delta", "2"]) == 2

@@ -557,3 +557,23 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path):
 def test_quantizer_rejects_empty_warmup_reservoir():
     with pytest.raises(ConfigError, match="warmup_vectors"):
         CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=0)
+
+
+def test_small_reservoir_warns_of_duplicate_codes(caplog):
+    rng = np.random.default_rng(27)
+    quantizer = CommunicationQuantizer(QuantizerConfig(L=8, G=2, m=4), warmup_vectors=3)
+    quantizer.apply(Tensor(rng.normal(size=(5, 4))))
+    with caplog.at_level("WARNING", logger="vqcomm"):
+        quantizer.initialize(seed=0)
+    assert quantizer.active
+    [record] = caplog.records
+    assert "3 vectors" in record.getMessage() and "8 codes" in record.getMessage()
+
+
+def test_full_reservoir_does_not_warn(caplog):
+    rng = np.random.default_rng(28)
+    quantizer = CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=8)
+    quantizer.apply(Tensor(rng.normal(size=(5, 4))))
+    with caplog.at_level("WARNING", logger="vqcomm"):
+        quantizer.initialize(seed=0)
+    assert not caplog.records

@@ -1,0 +1,136 @@
+"""``ad.no_grad``: frozen forwards compute the same values and keep no tape."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from vqcomm import autodiff as ad
+from vqcomm import runner
+from vqcomm.autodiff import Tensor
+from vqcomm.models import CommunicationQuantizer, ContrastiveWorldModel, RimModel, RimRegressor, TransformerClassifier
+from vqcomm.nn import Parameter
+from vqcomm.quantizer import Codebook, QuantizerConfig, quantize
+
+
+def _active_quantizer(rng, L, G, m, method="vq"):
+    q = CommunicationQuantizer(QuantizerConfig(L=L, G=G, m=m), method=method)
+    q.codebook.set_entries(rng.normal(size=(L, m // G)))
+    return q
+
+
+def _outputs(result):
+    """Every tensor a forward returns, in order: the output, then each snap's z and losses."""
+    out, qouts = result if isinstance(result, tuple) else (result, [])
+    tensors = [out]
+    for q in qouts:
+        tensors += [q.z, q.codebook_loss, q.commitment_loss]
+    return tensors, [q.indices for q in qouts]
+
+
+def _assert_same_forward(forward, params, reset=lambda: None):
+    reset()
+    plain, plain_idx = _outputs(forward())
+    assert any(t.requires_grad for t in plain)
+    reset()
+    with ad.no_grad(params):
+        frozen, frozen_idx = _outputs(forward())
+    assert len(frozen) == len(plain)
+    for a, b in zip(plain, frozen):
+        assert np.array_equal(a.data, b.data)
+        assert not b.requires_grad
+        assert b._parents == () and b._backward is None
+    for a, b in zip(plain_idx, frozen_idx):
+        assert np.array_equal(a, b)
+    assert all(p.requires_grad for p in params)
+
+
+@pytest.mark.parametrize("method", ["vq", "gumbel"])
+def test_rim_regressor_forward_unchanged(method):
+    rng = np.random.default_rng(0)
+    quantizer = _active_quantizer(rng, L=6, G=2, m=8, method=method)
+    model = RimModel(rng, input_dim=2, hidden=8, num_modules=3, k=2, att_dim=4, quantizer=quantizer)
+    regressor = RimRegressor(rng, model)
+    inputs = rng.normal(size=(5, 7, 2))
+
+    def reset():  # the gumbel noise stream must repeat between the two forwards
+        quantizer.rng = np.random.default_rng(1)
+
+    params = regressor.parameters() + [quantizer.codebook.entries]
+    _assert_same_forward(lambda: regressor(inputs), params, reset)
+
+
+def test_world_model_forwards_unchanged():
+    rng = np.random.default_rng(2)
+    quantizer = _active_quantizer(rng, L=5, G=2, m=6)
+    model = ContrastiveWorldModel(rng, raw_dim=2, node_dim=4, action_dim=5, msg_dim=6, hidden=8, quantizer=quantizer)
+    obs = rng.normal(size=(4, 3, 2))
+    actions = np.eye(5)[rng.integers(0, 5, size=(4, 3))]
+    params = model.parameters() + [quantizer.codebook.entries]
+    _assert_same_forward(lambda: model.predict_next(obs, actions), params)
+    _assert_same_forward(lambda: model.encode(obs), params)
+
+
+def test_transformer_forward_unchanged():
+    rng = np.random.default_rng(3)
+    quantizer = _active_quantizer(rng, L=6, G=2, m=8)
+    model = TransformerClassifier(rng, vocab=5, dim=8, heads=2, num_blocks=3, max_len=10, quantizer=quantizer)
+    tokens = rng.integers(0, 5, size=(4, 6))
+    marks = rng.integers(1, 6, size=4)
+    params = model.parameters() + [quantizer.codebook.entries]
+    _assert_same_forward(lambda: model(tokens, marks), params)
+
+
+def test_quantize_unchanged():
+    rng = np.random.default_rng(4)
+    cfg = QuantizerConfig(L=5, G=3, m=6)
+    book = Codebook(5, 2, entries=rng.normal(size=(5, 2)), initialized=True)
+    h = Parameter(rng.normal(size=(7, 6)))
+
+    def forward():
+        out = quantize(h, cfg, book)
+        return out.z, [out]
+
+    _assert_same_forward(forward, [h, book.entries])
+
+
+def test_flags_restored_after_normal_exit():
+    live = Parameter(np.ones(3))
+    frozen = Tensor(np.ones(3))
+    with ad.no_grad([live, frozen, live]):
+        assert not live.requires_grad and not frozen.requires_grad
+        out = ad.tanh(ad.mul(live, frozen))
+    assert live.requires_grad and not frozen.requires_grad
+    assert not out.requires_grad and out._parents == ()
+
+
+def test_flags_restored_after_exception():
+    live = Parameter(np.ones(3))
+    frozen = Tensor(np.ones(3))
+    with pytest.raises(RuntimeError, match="inside"):
+        with ad.no_grad([live, frozen]):
+            raise RuntimeError("inside")
+    assert live.requires_grad and not frozen.requires_grad
+
+
+def _eval_peak_mb(steps: int) -> float:
+    """Traced peak of one evaluation of 128 sequences of ``steps`` steps.
+
+    The RIM is untrained and has no quantizer: with one, the snap outputs
+    the regressor returns (about 0.16 MB a step here) grow with T as well.
+    """
+    rng = np.random.default_rng(5)
+    regressor = RimRegressor(rng, RimModel(rng, input_dim=2, hidden=32, num_modules=4, k=2))
+    inputs, targets = rng.uniform(size=(128, steps, 2)), rng.uniform(size=(128, 1))
+    tracemalloc.start()
+    try:
+        with runner._evaluation(None, regressor.parameters()):
+            runner._eval_adding(regressor, inputs, targets)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluation_peak_flat_in_sequence_length():
+    short, long = _eval_peak_mb(30), _eval_peak_mb(110)
+    assert long <= 1.5 * short, f"evaluation peak {short:.1f} MB at T=30 but {long:.1f} MB at T=110"

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from vqcomm import autodiff
+from vqcomm import runner as runner_module
 from vqcomm.config import config_from_dict
 from vqcomm.models.common import ConfigError
+from vqcomm.models.rim import RimRegressor
 from vqcomm.runner import (
     EPOCH_COLUMNS,
     METRIC_COLUMNS,
@@ -251,3 +253,49 @@ def test_epoch_memory_does_not_grow_with_batches(monkeypatch):
     # one batch's graph at this size holds about 1.7 MB; keeping the graphs
     # until the epoch ends grew live memory by that much per batch
     assert (quantized[-1] - quantized[1]) / (batches - 2) < 16 * 1024
+
+
+def _capture_quantizer(monkeypatch, built):
+    original = runner_module._build_quantizer
+
+    def capturing(config, m):
+        built.append(original(config, m))
+        return built[-1]
+
+    monkeypatch.setattr(runner_module, "_build_quantizer", capturing)
+
+
+def test_failed_gumbel_evaluation_restores_soft_sampling(monkeypatch):
+    """An exception in an evaluation forward leaves the quantizer sampling again."""
+    built = []
+    _capture_quantizer(monkeypatch, built)
+    original = RimRegressor.__call__
+
+    def failing_in_evaluation(self, inputs):
+        if self.model.quantizer.hard:
+            raise RuntimeError("evaluation forward failed")
+        return original(self, inputs)
+
+    monkeypatch.setattr(RimRegressor, "__call__", failing_in_evaluation)
+    cfg = {**TINY_ADDING, "quantizer": {**TINY_ADDING["quantizer"], "method": "gumbel"}}
+    with pytest.raises(RuntimeError, match="evaluation forward failed"):
+        run(config_from_dict(cfg))
+    assert built[0].hard is False
+
+
+def test_evaluation_builds_no_tape(monkeypatch):
+    """Every evaluation forward runs on frozen parameters and codebook entries."""
+    built, seen = [], []
+    _capture_quantizer(monkeypatch, built)
+    original = runner_module._eval_adding
+
+    def recording(regressor, inputs, targets):
+        frozen = regressor.parameters() + [built[0].codebook.entries]
+        seen.append((built[0].hard, any(p.requires_grad for p in frozen)))
+        return original(regressor, inputs, targets)
+
+    monkeypatch.setattr(runner_module, "_eval_adding", recording)
+    run(config_from_dict(TINY_ADDING))
+    assert seen == [(True, False)] * 3
+    assert built[0].hard is False
+    assert built[0].codebook.entries.requires_grad
