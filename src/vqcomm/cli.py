@@ -8,6 +8,7 @@ quantize. Exit codes: 0 success, 2 configuration error, 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import runner, theory
-from .config import ExperimentConfig, config_from_dict, merge_overrides, parse_assignments
+from .config import ExperimentConfig, load_config, parse_assignments
 from .models.common import ConfigError
 from .quantizer import Codebook, QuantizerConfig, load_codebook, quantize
 from .autodiff import Tensor
@@ -25,33 +26,14 @@ log = logging.getLogger("vqcomm")
 
 
 def _build_config(args) -> ExperimentConfig:
-    data: dict = {}
-    if args.config:
-        with open(args.config) as f:
-            text = f.read()
-        if text.lstrip().startswith("{"):
-            import json
-
-            try:
-                data = json.loads(text)
-            except ValueError as e:
-                raise ConfigError(f"{args.config}: {e}") from e
-        else:
-            pairs = [
-                line.split("#", 1)[0].strip()
-                for line in text.splitlines()
-                if line.split("#", 1)[0].strip()
-            ]
-            data = parse_assignments(pairs)
     overrides = parse_assignments(args.set or [])
-    data = merge_overrides(data, overrides)
     if args.kind:
-        data["kind"] = args.kind
+        overrides["kind"] = args.kind
     if args.seed is not None:
-        data["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.out:
-        data["out"] = args.out
-    return config_from_dict(data)
+        overrides["out"] = args.out
+    return load_config(args.config, overrides)
 
 
 def _add_config_flags(p: argparse.ArgumentParser, kind_positional: bool = False) -> None:
@@ -92,38 +74,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    inputs = theory.BoundInputs(
-        G=args.G,
-        L=args.L,
-        m=args.m,
-        n=args.n,
-        delta=args.delta,
-        alpha=args.alpha,
-        varsigma_bar=args.varsigma_bar,
-        R_H=args.R_H,
-        zeta=args.zeta,
-        C_J=args.C_J,
-        L_d=args.L_d,
-        rho=args.rho,
-    )
-    row = {
-        "G": args.G,
-        "L": args.L,
-        "m": args.m,
-        "n": args.n,
-        "delta": args.delta,
-        "alpha": args.alpha,
-        "varsigma_bar": args.varsigma_bar,
-        "R_H": args.R_H,
-        "zeta": args.zeta,
-        "C_J": args.C_J,
-        "L_d": args.L_d,
-        "rho": args.rho,
-        "bound_with": theory.bound_with_discretization(inputs),
-        "bound_without": theory.bound_without_discretization(inputs),
-        "covering_with": theory.covering_bound_with(inputs),
-        "covering_without": theory.covering_bound_without(inputs),
-    }
+    inputs = theory.BoundInputs(**{f.name: getattr(args, f.name) for f in dataclasses.fields(theory.BoundInputs)})
+    row = runner.bounds_row(inputs)
     if args.out:
         runner.emit_csv(f"{args.out}_bounds.csv", [row], runner.ANALYSIS_COLUMNS["bounds"])
         print(f"wrote {args.out}_bounds.csv")
@@ -136,18 +88,11 @@ def cmd_hoeffding(args) -> int:
     rec = theory.verify_hoeffding(
         L=args.L, G=args.G, d=args.d, n=args.n, delta=args.delta, trials=args.trials, seed=args.seed
     )
-    summary = {
-        "violation_rate": rec.violation_rate,
-        "bound": rec.bound,
-        "cell_count": rec.cell_count,
-        "max_gap": float(rec.gaps.max()),
-    }
+    final = runner.hoeffding_final(rec)
+    summary = {key: final[key] for key in ("violation_rate", "bound", "cell_count")}
+    summary["max_gap"] = float(rec.gaps.max())
     if args.out:
-        rows = [
-            {"trial": i, "gap": float(g), "bound": rec.bound, "violated": bool(v)}
-            for i, (g, v) in enumerate(zip(rec.gaps, rec.violated))
-        ]
-        runner.emit_csv(f"{args.out}_hoeffding.csv", rows, runner.ANALYSIS_COLUMNS["hoeffding"])
+        runner.emit_csv(f"{args.out}_hoeffding.csv", final["trials"], runner.ANALYSIS_COLUMNS["hoeffding"])
         print(f"wrote {args.out}_hoeffding.csv")
     print(runner.dumps_json(summary))
     return 0

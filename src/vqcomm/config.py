@@ -125,9 +125,29 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        _check_task_sizes(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _check_task_sizes(config: ExperimentConfig) -> None:
+    """Reject, before the run, the sizes the kind's generators and model would refuse."""
+    t, m = config.task, config.model
+    if config.kind in ("adding", "ablation"):
+        if t.seq_len < 1:
+            raise ConfigError(f"task.seq_len must be positive, got {t.seq_len}")
+        for key in ("train_gap", "val_gap", "test_gap"):
+            if getattr(t, key) < 0:
+                raise ConfigError(f"task.{key} must be non-negative, got {getattr(t, key)}")
+    elif config.kind == "gridworld":
+        cells = t.grid_size * t.grid_size
+        for key, count in [("train_objects", t.train_objects)] + [("ood_objects", n) for n in t.ood_objects]:
+            if count > cells:
+                raise ConfigError(f"task.{key}: cannot place {count} objects on a {t.grid_size}x{t.grid_size} grid")
+    elif config.kind == "transformer-toy":
+        if m.heads < 1 or m.dim % m.heads != 0:
+            raise ConfigError(f"model.dim {m.dim} must be divisible by model.heads {m.heads}")
 
 
 _SECTIONS = {
@@ -226,13 +246,15 @@ def parse_assignments(pairs: list[str]) -> dict:
     return nested
 
 
-def load_config(path) -> ExperimentConfig:
-    """Read a key=value config file or an equivalent JSON document."""
+def _read_config_file(path) -> dict:
+    """Nested config data from a key=value file or an equivalent JSON document."""
     with open(path) as f:
         text = f.read()
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        return config_from_dict(json.loads(text))
+    if text.lstrip().startswith("{"):
+        try:
+            return json.loads(text)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -241,7 +263,14 @@ def load_config(path) -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         pairs.append(line)
-    return config_from_dict(parse_assignments(pairs))
+    return parse_assignments(pairs)
+
+
+def load_config(path=None, overrides: dict | None = None) -> ExperimentConfig:
+    """Read a key=value config file or an equivalent JSON document (no path:
+    every default), with the nested ``overrides`` merged over it."""
+    data = _read_config_file(path) if path else {}
+    return config_from_dict(merge_overrides(data, overrides or {}))
 
 
 def merge_overrides(config_data: dict, overrides: dict) -> dict:

@@ -1,6 +1,5 @@
 from .attention import MultiHeadAttention, TransformerBlock, TransformerClassifier, transformer_forward
-from .checkpoint import load_checkpoint, restore_into, save_checkpoint
-from .common import CommunicationQuantizer, ConfigError, ablation_site, check_site
+from .common import CommunicationQuantizer, ConfigError, check_site
 from .gnn import ContrastiveWorldModel, GnnModel, gnn_step
 from .rim import RimModel, RimRegressor, rim_step, rim_step_detailed
 
@@ -14,13 +13,9 @@ __all__ = [
     "RimRegressor",
     "TransformerBlock",
     "TransformerClassifier",
-    "ablation_site",
     "check_site",
     "gnn_step",
-    "load_checkpoint",
-    "restore_into",
     "rim_step",
     "rim_step_detailed",
-    "save_checkpoint",
     "transformer_forward",
 ]

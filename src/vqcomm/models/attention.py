@@ -38,18 +38,11 @@ class MultiHeadAttention(Module):
         return weights
 
     def __call__(self, queries, keys, values) -> Tensor:
-        q = ad.matmul(ad.as_tensor(queries), self.w_q)
-        k = ad.matmul(ad.as_tensor(keys), self.w_k)
         v = ad.matmul(ad.as_tensor(values), self.w_v)
-        dh = self.dim // self.heads
-        outs = []
-        for qh, kh, vh in zip(
-            ad.split(q, self.heads, axis=-1),
-            ad.split(k, self.heads, axis=-1),
-            ad.split(v, self.heads, axis=-1),
-        ):
-            scores = ad.scale(ad.matmul(qh, ad.transpose(kh)), 1.0 / math.sqrt(dh))
-            outs.append(ad.matmul(ad.softmax(scores), vh))
+        outs = [
+            ad.matmul(weights, vh)
+            for weights, vh in zip(self.attention_weights(queries, keys), ad.split(v, self.heads, axis=-1))
+        ]
         return ad.matmul(ad.concat(outs, axis=-1), self.w_o)
 
 

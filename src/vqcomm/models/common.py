@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import logging
 
 import numpy as np
@@ -114,29 +113,3 @@ class CommunicationQuantizer:
     def collected_count(self) -> int:
         return self._collected_count
 
-
-def ablation_site(model, site: str):
-    """Model variant with the quantization point moved to ``site``.
-
-    Parameters (and the shared codebook) are the same objects as in the
-    original model; only the site selection differs.
-    """
-    from .gnn import GnnModel
-    from .rim import RimModel
-
-    if isinstance(model, GnnModel):
-        arch = "gnn"
-    elif isinstance(model, RimModel):
-        arch = "rim"
-    else:
-        raise ConfigError(f"ablation sites are defined for GNN and RIM models, not {type(model).__name__}")
-    check_site(arch, site)
-    if arch == "rim" and model.quantizer is not None:
-        expected = model.input_dim if site == "raw_input" else model.hidden
-        if model.quantizer.config.m != expected:
-            raise ConfigError(
-                f"quantizer dimension {model.quantizer.config.m} does not match site {site!r} (needs {expected})"
-            )
-    variant = copy.copy(model)
-    variant.site = site
-    return variant

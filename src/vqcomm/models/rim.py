@@ -17,7 +17,7 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..nn import Linear, Module, Parameter, StackedGRU
+from ..nn import Linear, Module, StackedGRU
 from ..quantizer import QuantizationOutput
 from .common import CommunicationQuantizer, ConfigError, check_site
 
@@ -100,17 +100,8 @@ class RimStepInfo:
     qouts: list[QuantizationOutput]
 
 
-def rim_step_detailed(
-    state: Tensor,
-    x_t: Tensor,
-    model: RimModel,
-    comm_mask: np.ndarray | None = None,
-) -> RimStepInfo:
-    """One time step. ``state``: (B, M, H); ``x_t``: (B, input_dim).
-
-    ``comm_mask`` optionally restricts which modules may be attended to
-    (used by diagnostics; default attends over all updated states).
-    """
+def rim_step_detailed(state: Tensor, x_t: Tensor, model: RimModel) -> RimStepInfo:
+    """One time step. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
     B = state.shape[0]
     qouts: list[QuantizationOutput] = []
 
@@ -149,9 +140,6 @@ def rim_step_detailed(
     k = model.comm_key(comm_source)
     v = model.comm_value(comm_source)
     logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(model.att_dim))
-    if comm_mask is not None:
-        blocked = np.where(comm_mask[:, None, :] > 0, 0.0, -1e30)
-        logits = ad.add(logits, Tensor(blocked))
     att = ad.softmax(logits)
     h = ad.matmul(att, v)  # (B, M, H)
 

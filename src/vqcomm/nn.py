@@ -9,7 +9,7 @@ from .autodiff import Tensor
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a name for checkpointing."""
+    """Trainable tensor with a name."""
 
     __slots__ = ("name",)
 
@@ -116,19 +116,6 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
                 ad._accum(b, ad._unbroadcast(dg, b.shape))
 
     return ad._node(out, (h, x, w_x, w_h, b_x, b_h), backward)
-
-
-class GRUCell(Module):
-    """Standard gated recurrent unit (reset/update gates, candidate state)."""
-
-    def __init__(self, rng: np.random.Generator, d_in: int, d_hidden: int, name: str = "gru"):
-        self.w_x = Parameter(glorot(rng, d_in, 3 * d_hidden), name=f"{name}.w_x")
-        self.w_h = Parameter(glorot(rng, d_hidden, 3 * d_hidden), name=f"{name}.w_h")
-        self.b_x = Parameter(np.zeros(3 * d_hidden), name=f"{name}.b_x")
-        self.b_h = Parameter(np.zeros(3 * d_hidden), name=f"{name}.b_h")
-
-    def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        return gru_cell(h, x, self.w_x, self.w_h, self.b_x, self.b_h)
 
 
 class StackedGRU(Module):

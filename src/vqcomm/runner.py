@@ -11,7 +11,7 @@ import logging
 import os
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .models.gnn import ContrastiveWorldModel
 from .models.rim import RimModel, RimRegressor
 from .nn import Parameter
 from .optim import Adam, SGD, clip_global_norm, fill_missing_grads
-from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss, usage_counts
+from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss, save_codebook, usage_counts
 from .seeding import stream_rng
 from .tasks import (
     encode_actions,
@@ -40,6 +40,8 @@ from . import __version__
 
 log = logging.getLogger("vqcomm")
 
+_ADDING_INPUT_DIM = 2  # (value, marker) per step
+
 EPOCH_COLUMNS = ["epoch", "task_loss", "codebook_loss", "commitment_loss", "total_loss", "perplexity"]
 
 METRIC_COLUMNS = {
@@ -49,13 +51,12 @@ METRIC_COLUMNS = {
     "transformer-toy": ["split", "loss", "accuracy"],
 }
 
+_BOUND_INPUT_COLUMNS = ["G", "L", "m", "n", "delta", "alpha", "varsigma_bar", "R_H", "zeta", "C_J", "L_d", "rho"]
+
 ANALYSIS_COLUMNS = {
     "variance": ["L", "G", "samples", "trials", "mean_total_variance", "mean_raw_variance"],
     "attention": ["seed", "quantized", "train_distractors", "test_distractors", "accuracy", "train_accuracy"],
-    "bounds": [
-        "G", "L", "m", "n", "delta", "alpha", "varsigma_bar", "R_H", "zeta", "C_J", "L_d", "rho",
-        "bound_with", "bound_without", "covering_with", "covering_without",
-    ],
+    "bounds": _BOUND_INPUT_COLUMNS + ["bound_with", "bound_without", "covering_with", "covering_without"],
     "hoeffding": ["trial", "gap", "bound", "violated"],
     "field": ["x", "y", "dx", "dy", "code"],
 }
@@ -68,6 +69,7 @@ class RunRecord:
     final: dict
     wall_time: float
     version: str = __version__
+    quantizer: CommunicationQuantizer | None = field(default=None, compare=False, repr=False)  # not in the JSON
 
     def to_dict(self) -> dict:
         return {
@@ -163,6 +165,9 @@ def emit_record(record: RunRecord, out: str) -> list[str]:
     elif kind == "hoeffding":
         emit_csv(f"{out}_hoeffding.csv", record.final["trials"], ANALYSIS_COLUMNS["hoeffding"])
         written.append(f"{out}_hoeffding.csv")
+    if record.quantizer is not None and record.quantizer.active:
+        save_codebook(f"{out}_codebook.vqcb", record.quantizer.codebook, record.quantizer.config)
+        written.append(f"{out}_codebook.vqcb")
     return written
 
 
@@ -171,12 +176,28 @@ def emit_record(record: RunRecord, out: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _build_quantizer(config: ExperimentConfig, m: int) -> CommunicationQuantizer | None:
+def _adding_site(config: ExperimentConfig) -> str:
+    """The RIM's quantization site: movable only in the ablation kind."""
+    return config.quantizer.site if config.kind == "ablation" else "communication_result"
+
+
+def quantizer_dim(config: ExperimentConfig) -> int:
+    """Length of the vectors the quantizer of a training kind snaps."""
+    if config.kind == "gridworld":
+        return config.model.msg_dim
+    if config.kind == "transformer-toy":
+        return config.model.dim
+    return _ADDING_INPUT_DIM if _adding_site(config) == "raw_input" else config.model.hidden
+
+
+def _build_quantizer(config: ExperimentConfig) -> CommunicationQuantizer | None:
     q = config.quantizer
     if not q.discretize:
         return None
     try:
-        qc = QuantizerConfig(L=q.L, G=q.G, m=m, beta=q.beta, codebook_loss_weight=q.codebook_loss_weight)
+        qc = QuantizerConfig(
+            L=q.L, G=q.G, m=quantizer_dim(config), beta=q.beta, codebook_loss_weight=q.codebook_loss_weight
+        )
     except ValueError as e:
         raise ConfigError(f"quantizer: {e}") from e
     return CommunicationQuantizer(
@@ -234,11 +255,12 @@ class _EpochAccumulator:
         }
 
 
-def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn):
+def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn):
     """Generic epoch loop: warmup/collect, k-means init, then quantized training.
 
-    ``batches_fn(epoch, rng)`` yields batches; ``loss_fn(batch)`` returns
-    (task_loss Tensor, qouts). Returns per-epoch metric rows.
+    Each epoch shuffles the ``count`` training examples into batches of
+    indices; ``loss_fn(idx)`` returns (task_loss Tensor, qouts). Returns
+    per-epoch metric rows.
     """
     opt = _make_optimizer(config, params)
     train_rng = stream_rng(config.seed, "training")
@@ -246,7 +268,7 @@ def _train_loop(config: ExperimentConfig, quantizer, params, batches_fn, loss_fn
     rows = []
     for epoch in range(config.training.epochs):
         acc = _EpochAccumulator(L=qcfg.L if qcfg else None)
-        for i, batch in enumerate(batches_fn(epoch, train_rng)):
+        for i, batch in enumerate(_shuffled_batches(count, config.training.batch_size, train_rng)):
             # the previous batch's graph stays referenced until this forward
             # is built: freed any earlier, its pages go back to the OS and the
             # forward faults them in again (gridworld-vq ran 36% slower)
@@ -316,7 +338,6 @@ def _eval_adding(regressor, inputs, targets) -> float:
 
 def run_adding(config: ExperimentConfig) -> RunRecord:
     t = config.task
-    site = config.quantizer.site if config.kind == "ablation" else "communication_result"
     data_rng = stream_rng(config.seed, "data")
     train_set = gen_adding(t.train_count, t.seq_len, t.train_gap, data_rng, t.max_value)
     eval_rng = stream_rng(config.seed, "evaluation")
@@ -326,36 +347,32 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
         "ood_test": gen_adding(t.eval_count, t.seq_len, t.test_gap, eval_rng, t.max_value),
     }
     init_rng = stream_rng(config.seed, "init")
-    m = 2 if site == "raw_input" else config.model.hidden
-    quantizer = _build_quantizer(config, m)
+    quantizer = _build_quantizer(config)
     model = RimModel(
         init_rng,
-        input_dim=2,
+        input_dim=_ADDING_INPUT_DIM,
         hidden=config.model.hidden,
         num_modules=config.model.modules,
         k=config.model.k,
         att_dim=config.model.att_dim,
         quantizer=quantizer,
-        site=site,
+        site=_adding_site(config),
     )
     regressor = RimRegressor(init_rng, model)
     params = regressor.parameters() + ([quantizer.codebook.entries] if quantizer else [])
 
     train_inputs, train_targets = _adding_arrays(train_set)
 
-    def batches(epoch, rng):
-        yield from _shuffled_batches(len(train_set), config.training.batch_size, rng)
-
     def loss_fn(idx):
         pred, qouts = regressor(train_inputs[idx])
         return ad.mse(pred, Tensor(train_targets[idx])), qouts
 
-    epochs = _train_loop(config, quantizer, params, batches, loss_fn)
+    epochs = _train_loop(config, quantizer, params, len(train_set), loss_fn)
     with _evaluation(quantizer, params):
         final = {
             name: {"loss": _eval_adding(regressor, *_adding_arrays(samples))} for name, samples in splits.items()
         }
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
+    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +409,7 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
         splits[f"ood_{i}"] = gen_gridworld_episodes(n_obj, t.grid_size, t.episode_steps, eval_eps, eval_rng)
 
     init_rng = stream_rng(config.seed, "init")
-    quantizer = _build_quantizer(config, config.model.msg_dim)
+    quantizer = _build_quantizer(config)
     model = ContrastiveWorldModel(
         init_rng,
         raw_dim=2,
@@ -406,19 +423,16 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
     params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
     obs, act, nxt = _gridworld_arrays(train_set, t.grid_size)
 
-    def batches(epoch, rng):
-        yield from _shuffled_batches(len(train_set), config.training.batch_size, rng)
-
     def loss_fn(idx):
         neg = np.roll(idx, 1)
         return model.contrastive_loss(obs[idx], act[idx], nxt[idx], obs[neg])
 
-    epochs = _train_loop(config, quantizer, params, batches, loss_fn)
+    epochs = _train_loop(config, quantizer, params, len(train_set), loss_fn)
     with _evaluation(quantizer, params):
         final = {
             name: _eval_gridworld(model, *_gridworld_arrays(trans, t.grid_size)) for name, trans in splits.items()
         }
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
+    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +466,7 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
         "ood_test": _gen_copy_batch(eval_rng, t.eval_count, min(t.test_len, t.max_len), t.vocab),
     }
     init_rng = stream_rng(config.seed, "init")
-    quantizer = _build_quantizer(config, config.model.dim)
+    quantizer = _build_quantizer(config)
     model = TransformerClassifier(
         init_rng,
         vocab=t.vocab,
@@ -464,17 +478,14 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
     )
     params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
 
-    def batches(epoch, rng):
-        yield from _shuffled_batches(len(train_tokens), config.training.batch_size, rng)
-
     def loss_fn(idx):
         logits, qouts = model(train_tokens[idx], train_marks[idx])
         return ad.cross_entropy(logits, train_labels[idx]), qouts
 
-    epochs = _train_loop(config, quantizer, params, batches, loss_fn)
+    epochs = _train_loop(config, quantizer, params, len(train_tokens), loss_fn)
     with _evaluation(quantizer, params):
         final = {name: _eval_transformer(model, *data) for name, data in splits.items()}
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0)
+    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +514,17 @@ def run_gaussian_analysis(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
 
 
+def bounds_row(inputs: theory.BoundInputs) -> dict:
+    """The inputs and the four bound calculators, in ``ANALYSIS_COLUMNS["bounds"]`` order."""
+    return {
+        **{name: getattr(inputs, name) for name in _BOUND_INPUT_COLUMNS},
+        "bound_with": theory.bound_with_discretization(inputs),
+        "bound_without": theory.bound_without_discretization(inputs),
+        "covering_with": theory.covering_bound_with(inputs),
+        "covering_without": theory.covering_bound_without(inputs),
+    }
+
+
 def run_bounds(config: ExperimentConfig) -> RunRecord:
     t = config.task
     q = config.quantizer
@@ -520,25 +542,21 @@ def run_bounds(config: ExperimentConfig) -> RunRecord:
         L_d=t.L_d,
         rho=t.rho,
     )
-    final = {
-        "G": q.G,
-        "L": q.L,
-        "m": t.bound_m,
-        "n": t.bound_n,
-        "delta": t.delta,
-        "alpha": t.alpha,
-        "varsigma_bar": t.varsigma_bar,
-        "R_H": t.R_H,
-        "zeta": t.zeta,
-        "C_J": t.C_J,
-        "L_d": t.L_d,
-        "rho": t.rho,
-        "bound_with": theory.bound_with_discretization(inputs),
-        "bound_without": theory.bound_without_discretization(inputs),
-        "covering_with": theory.covering_bound_with(inputs),
-        "covering_without": theory.covering_bound_without(inputs),
+    return RunRecord(config=config.to_dict(), epochs=[], final=bounds_row(inputs), wall_time=0.0)
+
+
+def hoeffding_final(rec: theory.TrialRecord) -> dict:
+    """One row per trial (``ANALYSIS_COLUMNS["hoeffding"]``) plus the summary."""
+    trials = [
+        {"trial": i, "gap": float(g), "bound": rec.bound, "violated": bool(v)}
+        for i, (g, v) in enumerate(zip(rec.gaps, rec.violated))
+    ]
+    return {
+        "trials": trials,
+        "violation_rate": rec.violation_rate,
+        "bound": rec.bound,
+        "cell_count": rec.cell_count,
     }
-    return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
 
 
 def run_hoeffding(config: ExperimentConfig) -> RunRecord:
@@ -547,17 +565,7 @@ def run_hoeffding(config: ExperimentConfig) -> RunRecord:
     rec = theory.verify_hoeffding(
         L=q.L, G=q.G, d=t.hoeffding_d, n=t.hoeffding_n, delta=t.delta, trials=t.hoeffding_trials, seed=config.seed
     )
-    trials = [
-        {"trial": i, "gap": float(g), "bound": rec.bound, "violated": bool(v)}
-        for i, (g, v) in enumerate(zip(rec.gaps, rec.violated))
-    ]
-    final = {
-        "trials": trials,
-        "violation_rate": rec.violation_rate,
-        "bound": rec.bound,
-        "cell_count": rec.cell_count,
-    }
-    return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
+    return RunRecord(config=config.to_dict(), epochs=[], final=hoeffding_final(rec), wall_time=0.0)
 
 
 _RUNNERS = {
@@ -597,13 +605,9 @@ def sweep(
     metric_cols = METRIC_COLUMNS.get(base.kind)
     if metric_cols is None:
         raise ConfigError(f"sweep supports training kinds, not {base.kind!r}")
+    m = quantizer_dim(base)
     for L in L_values:
         for G in G_values:
-            m = 2 if base.quantizer.site == "raw_input" else base.model.hidden
-            if base.kind == "gridworld":
-                m = base.model.msg_dim
-            elif base.kind == "transformer-toy":
-                m = base.model.dim
             if base.quantizer.discretize and m % G != 0:
                 msg = f"skipping L={L} G={G}: {m} not divisible by {G}"
                 log.warning(msg)

@@ -1,8 +1,8 @@
-"""Root-seed splitting into named, order-independent streams.
+"""Root-seed splitting into keyed, order-independent streams.
 
-Each stream is ``default_rng(SeedSequence(entropy=root, spawn_key=(id, *extra)))``
-with a fixed per-name id, so adding a new experiment or reordering calls
-never perturbs another stream.
+Every generator is ``default_rng(SeedSequence(entropy=root, spawn_key=key))``
+(``keyed_rng``). Named streams put a fixed per-name id first in the key, so
+adding a new experiment or reordering calls never perturbs another stream.
 """
 
 from __future__ import annotations
@@ -19,8 +19,12 @@ STREAM_IDS = {
 }
 
 
+def keyed_rng(root_seed: int, *key: int) -> np.random.Generator:
+    """Generator of ``SeedSequence(entropy=root_seed, spawn_key=key)``; no key is the root seed's own stream."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=key))
+
+
 def stream_rng(root_seed: int, stream: str, *extra: int) -> np.random.Generator:
     if stream not in STREAM_IDS:
         raise KeyError(f"unknown seed stream {stream!r}; known: {sorted(STREAM_IDS)}")
-    key = (STREAM_IDS[stream], *extra)
-    return np.random.default_rng(np.random.SeedSequence(entropy=root_seed, spawn_key=key))
+    return keyed_rng(root_seed, STREAM_IDS[stream], *extra)

@@ -4,19 +4,13 @@ Two task families: summing two marked values in a sequence padded with
 dummy gap tokens (the OOD knob is the gap length), and a grid world where
 pushed objects move unless blocked by a wall or another object (the OOD
 knob is the object count). Plus HITS@k / MRR ranking metrics.
-
-Datasets serialize to CSV whose first line is a header comment recording
-the generating configuration and seed.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DATASET_MAGIC = "# vqcomm-dataset "
 
 DIRECTIONS = ("up", "down", "left", "right", "none")
 _MOVES = {
@@ -206,85 +200,3 @@ def rank_next_state(predicted_latent, candidate_latents, true_index: int = 0) ->
     others = np.delete(d2, true_index)
     return int(1 + (others <= d_true).sum())
 
-
-# ---------------------------------------------------------------------------
-# dataset serialization
-# ---------------------------------------------------------------------------
-
-
-def _write_dataset(path, header: dict, columns: list[str], rows) -> None:
-    with open(path, "w") as f:
-        f.write(DATASET_MAGIC + json.dumps(header) + "\n")
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
-
-
-def _read_dataset(path) -> tuple[dict, list[list[str]]]:
-    with open(path) as f:
-        first = f.readline()
-        if not first.startswith(DATASET_MAGIC):
-            raise ValueError(f"{path}: not a dataset file (missing header)")
-        header = json.loads(first[len(DATASET_MAGIC) :])
-        f.readline()  # column row
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    return header, rows
-
-
-def save_adding_dataset(path, samples: list[AddingSample], config: dict) -> None:
-    """Long-format CSV: one row per (sample, step); header records config."""
-    header = {"task": "adding", "count": len(samples), **config}
-    rows = (
-        [str(i), str(t), repr(float(s.values[t])), str(int(s.markers[t])), repr(s.target), str(s.gap_len)]
-        for i, s in enumerate(samples)
-        for t in range(len(s.values))
-    )
-    _write_dataset(path, header, ["sample", "step", "value", "marker", "target", "gap_len"], rows)
-
-
-def load_adding_dataset(path) -> tuple[dict, list[AddingSample]]:
-    header, rows = _read_dataset(path)
-    grouped: dict[int, list[list[str]]] = {}
-    for row in rows:
-        grouped.setdefault(int(row[0]), []).append(row)
-    samples = []
-    for i in sorted(grouped):
-        chunk = sorted(grouped[i], key=lambda r: int(r[1]))
-        values = np.array([float(r[2]) for r in chunk])
-        markers = np.array([float(int(r[3])) for r in chunk])
-        samples.append(
-            AddingSample(values=values, markers=markers, target=float(chunk[0][4]), gap_len=int(chunk[0][5]))
-        )
-    return header, samples
-
-
-def save_gridworld_dataset(path, transitions: list[GridWorldTransition], config: dict) -> None:
-    """Long-format CSV: one row per (transition, object); header records config."""
-    header = {"task": "gridworld", "count": len(transitions), **config}
-    rows = (
-        [str(i), str(j), str(t.positions[j][0]), str(t.positions[j][1]), t.actions[j],
-         str(t.next_positions[j][0]), str(t.next_positions[j][1])]
-        for i, t in enumerate(transitions)
-        for j in range(len(t.positions))
-    )
-    _write_dataset(
-        path, header, ["transition", "object", "row", "col", "action", "next_row", "next_col"], rows
-    )
-
-
-def load_gridworld_dataset(path) -> tuple[dict, list[GridWorldTransition]]:
-    header, rows = _read_dataset(path)
-    grouped: dict[int, list[list[str]]] = {}
-    for row in rows:
-        grouped.setdefault(int(row[0]), []).append(row)
-    transitions = []
-    for i in sorted(grouped):
-        chunk = sorted(grouped[i], key=lambda r: int(r[1]))
-        transitions.append(
-            GridWorldTransition(
-                positions=[(int(r[2]), int(r[3])) for r in chunk],
-                actions=[r[4] for r in chunk],
-                next_positions=[(int(r[5]), int(r[6])) for r in chunk],
-            )
-        )
-    return header, transitions

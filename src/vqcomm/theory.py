@@ -16,10 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .models.common import ConfigError
+from .models.common import CommunicationQuantizer, ConfigError
 from .nn import Parameter
-from .optim import Adam
-from .quantizer import Codebook, QuantizerConfig, kmeans_init, nearest_indices, quantize
+from .optim import Adam, fill_missing_grads
+from .quantizer import Codebook, QuantizerConfig, combined_aux_loss, kmeans_init, nearest_indices
+from .seeding import keyed_rng
 
 _MAX_ENUMERABLE_CELLS = 4096
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
@@ -140,7 +141,7 @@ def verify_hoeffding(
     cells = L**G
     if cells > _MAX_ENUMERABLE_CELLS:
         raise ConfigError(f"L^G = {cells} exceeds enumeration guard {_MAX_ENUMERABLE_CELLS}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = keyed_rng(seed)
     entries = rng.normal(size=(L, d))
     m = G * d
 
@@ -168,10 +169,6 @@ def verify_hoeffding(
 # ---------------------------------------------------------------------------
 
 
-def _sub_rng(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tuple(key)))
-
-
 def gaussian_variance_sweep(
     m: int,
     L_values: list[int],
@@ -194,7 +191,7 @@ def gaussian_variance_sweep(
             variances = np.zeros(trials)
             raw = np.zeros(trials)
             for t in range(trials):
-                rng = _sub_rng(seed, L, G, t)
+                rng = keyed_rng(seed, L, G, t)
                 x = rng.standard_normal((samples, m))
                 book = kmeans_init(x.reshape(samples * G, d), L, seed=rng)
                 idx = nearest_indices(x.reshape(samples, G, d), book.entries.data)
@@ -267,13 +264,20 @@ def attention_robustness(
     learned query produces attention over items, and the (optionally
     quantized) attention output is matched against the items to pick one.
     Evaluation uses more, never-seen distractors.
+
+    With ``quantize_on`` the output goes through a ``CommunicationQuantizer``:
+    its codebook is seeded by k-means once ``warmup_vectors`` outputs (the
+    freshest ``warmup_vectors * G`` heads) have passed through unquantized.
     """
-    rng = _sub_rng(seed, 0)
+    rng = keyed_rng(seed, 0)
     target = rng.normal(size=dim)
     query = Parameter(rng.normal(size=(dim, 1)) * 0.1, name="attn.query")
-    cfg = QuantizerConfig(L=L, G=G, m=dim)
-    book = Codebook(L, dim // G)
-    opt = Adam([query, book.entries] if quantize_on else [query], lr=lr)
+    params = [query]
+    quantizer = None
+    if quantize_on:
+        quantizer = CommunicationQuantizer(QuantizerConfig(L=L, G=G, m=dim), warmup_vectors=warmup_vectors * G)
+        params.append(quantizer.codebook.entries)
+    opt = Adam(params, lr=lr)
 
     def make_batch(gen, count, distractors):
         items = gen.normal(size=(count, distractors + 1, dim))
@@ -281,55 +285,40 @@ def attention_robustness(
         items[np.arange(count), labels] = target
         return items, labels
 
-    def forward(items, quantizing):
+    def forward(items):
         t_items = Tensor(items)
         scores = ad.scale(ad.matmul(t_items, query), 1.0 / math.sqrt(dim))
         alpha = ad.softmax(ad.transpose(scores))  # (B, 1, D+1)
         out = ad.reshape(ad.matmul(alpha, t_items), (items.shape[0], dim))
         q_out = None
-        if quantizing:
-            q_out = quantize(out, cfg, book)
-            out = q_out.z
+        if quantizer is not None:
+            out, q_out = quantizer.apply(out)
         logits = ad.reshape(
             ad.matmul(t_items, ad.reshape(out, (items.shape[0], dim, 1))),
             (items.shape[0], items.shape[1]),
         )
-        return logits, out, q_out
+        return logits, q_out
 
-    data_rng = _sub_rng(seed, 1)
-    collected: list[np.ndarray] = []
-    quantizing = False
-    for step in range(steps):
+    data_rng = keyed_rng(seed, 1)
+    for _ in range(steps):
         items, labels = make_batch(data_rng, batch, train_distractors)
-        if quantize_on and not quantizing:
-            # warmup: continuous path while collecting pre-quantization outputs
-            logits, out, q_out = forward(items, quantizing=False)
-            collected.append(out.data.copy())
-            if sum(len(c) for c in collected) >= warmup_vectors:
-                segs = np.concatenate(collected).reshape(-1, dim // G)
-                book.set_entries(kmeans_init(segs, L, seed=_sub_rng(seed, 2)).entries.data)
-                quantizing = True
-        else:
-            logits, out, q_out = forward(items, quantizing=quantizing)
+        logits, q_out = forward(items)
+        if quantizer is not None and not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
+            quantizer.initialize(seed=keyed_rng(seed, 2))
         loss = ad.cross_entropy(logits, labels)
         if q_out is not None:
-            aux = ad.add(
-                ad.scale(q_out.codebook_loss, cfg.codebook_loss_weight),
-                ad.scale(q_out.commitment_loss, cfg.beta),
-            )
-            loss = ad.add(loss, aux)
+            loss = ad.add(loss, combined_aux_loss(q_out, quantizer.config))
         opt.zero_grad()
         ad.backward(loss)
-        if quantize_on and book.entries.grad is None:
-            book.entries.grad = np.zeros_like(book.entries.data)
+        fill_missing_grads(params)
         opt.step()
 
-    eval_rng = _sub_rng(seed, 3)
+    eval_rng = keyed_rng(seed, 3)
     items, labels = make_batch(eval_rng, eval_episodes, test_distractors)
     train_items, train_labels = make_batch(eval_rng, eval_episodes, train_distractors)
-    with ad.no_grad([query, book.entries]):
-        logits, _, _ = forward(items, quantizing=quantizing)
-        train_logits, _, _ = forward(train_items, quantizing=quantizing)
+    with ad.no_grad(params):
+        logits, _ = forward(items)
+        train_logits, _ = forward(train_items)
     accuracy = float((logits.data.argmax(axis=1) == labels).mean())
     train_accuracy = float((train_logits.data.argmax(axis=1) == train_labels).mean())
     return {

@@ -125,13 +125,13 @@ def test_criterion_2_gradient_contract():
     assert book.entries.grad is not None
 
     # finite-difference check over every differentiable op kind
-    from test_autodiff import CASES, SHAPES, _apply_case, _rand
+    from test_autodiff import CASES, SHAPES, _apply_case, _rand, case_rng
 
     worst = 0.0
     for kind in sorted(CASES):
-        case_rng = np.random.default_rng(hash(kind) % 2**32)
-        arrays = [_rand(case_rng, *s) for s in SHAPES[kind]]
-        weights = case_rng.uniform(-1, 1, size=CASES[kind](arrays).shape)
+        rng = case_rng(kind)
+        arrays = [_rand(rng, *s) for s in SHAPES[kind]]
+        weights = rng.uniform(-1, 1, size=CASES[kind](arrays).shape)
 
         def scalar(arrs):
             return float((CASES[kind](arrs).data * weights).sum())

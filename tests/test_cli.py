@@ -7,7 +7,8 @@ import pytest
 from vqcomm import runner
 from vqcomm.autodiff import ShapeError
 from vqcomm.cli import main
-from vqcomm.quantizer import Codebook, QuantizerConfig, save_codebook
+from vqcomm.config import config_from_dict, parse_assignments
+from vqcomm.quantizer import Codebook, QuantizerConfig, load_codebook, nearest_indices, save_codebook
 
 
 def _run(argv, stdin_text=None):
@@ -217,3 +218,63 @@ def test_malformed_json_config_is_config_error(tmp_path):
 
 def test_bad_bound_inputs_are_config_error():
     assert main(["bounds", "--delta", "2"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "adding", "--set", "task.seq_len=0"],
+        ["run", "transformer-toy", "--set", "model.heads=3"],
+        ["run", "gridworld", "--set", "task.train_objects=30"],
+    ],
+    ids=["seq_len", "heads", "train_objects"],
+)
+def test_bad_task_sizes_are_config_errors(argv, capsys):
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_bounds_command_row_equals_run_bounds_row(tmp_path):
+    flags = {"G": 3, "L": 7, "m": 12, "n": 500, "delta": 0.1, "alpha": 2.0, "varsigma-bar": 0.5, "R-H": 2.0,
+             "zeta": 3.0, "C-J": 1.5, "L-d": 2.0, "rho": 2}
+    keys = {"G": "quantizer.G", "L": "quantizer.L", "m": "task.bound_m", "n": "task.bound_n"}
+    argv = [f"--{flag}={value}" for flag, value in flags.items()]
+    sets = [f"--set={keys.get(flag, 'task.' + flag.replace('-', '_'))}={value}" for flag, value in flags.items()]
+    assert main(["bounds", *argv, "--out", str(tmp_path / "cli")]) == 0
+    assert main(["run", "bounds", *sets, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "cli_bounds.csv").read_text() == (tmp_path / "run_bounds.csv").read_text()
+
+
+def test_hoeffding_command_rows_equal_run_hoeffding_rows(tmp_path, capsys):
+    argv = ["--L=3", "--G=2", "--d=1", "--n=300", "--delta=0.2", "--trials=20", "--seed=5"]
+    sets = ["--set=quantizer.L=3", "--set=quantizer.G=2", "--set=task.hoeffding_d=1", "--set=task.hoeffding_n=300",
+            "--set=task.delta=0.2", "--set=task.hoeffding_trials=20", "--seed=5"]
+    assert main(["hoeffding", *argv, "--out", str(tmp_path / "cli")]) == 0
+    assert main(["run", "hoeffding", *sets, "--out", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "cli_hoeffding.csv").read_text() == (tmp_path / "run_hoeffding.csv").read_text()
+
+
+def test_run_writes_the_trained_codebook_for_quantize(tmp_path):
+    settings = [arg.removeprefix("--set=") for arg in _TINY_ADDING_FLAGS] + [
+        "quantizer.discretize=true", "quantizer.L=4", "quantizer.G=2", "quantizer.warmup_vectors=32"
+    ]
+    out = tmp_path / "toy"
+    assert main(["run", "adding", *(f"--set={s}" for s in settings), "--out", str(out)]) == 0
+    trained = runner.run(config_from_dict({**parse_assignments(settings), "kind": "adding"})).quantizer
+    book, cfg = load_codebook(tmp_path / "toy_codebook.vqcb")
+    assert (cfg.L, cfg.G, cfg.m) == (4, 2, 8)
+    assert np.array_equal(book.entries.data, trained.codebook.entries.data)
+
+    vec = np.linspace(-1.0, 1.0, 8)
+    result = _run(["quantize", "--codebook", str(tmp_path / "toy_codebook.vqcb")], " ".join(map(str, vec)) + "\n")
+    assert result.returncode == 0
+    z_part, idx_part = result.stdout.split("|")
+    idx0 = nearest_indices(vec.reshape(2, 4), trained.codebook.entries.data)
+    assert [int(i) for i in idx_part.split()] == (idx0 + 1).tolist()
+    assert np.array_equal(np.array(z_part.split(), dtype=float), trained.codebook.entries.data[idx0].reshape(-1))
+
+
+def test_baseline_run_writes_no_codebook(tmp_path):
+    assert main(["run", "adding", *_TINY_ADDING_FLAGS, "--out", str(tmp_path / "toy")]) == 0
+    assert (tmp_path / "toy.json").exists()
+    assert not (tmp_path / "toy_codebook.vqcb").exists()

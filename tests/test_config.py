@@ -107,3 +107,26 @@ def test_warmup_vectors_must_be_positive(value):
     # [-0:] keeps every row, so a zero reservoir bound would never bound anything
     with pytest.raises(ConfigError, match="warmup_vectors"):
         config_from_dict({"quantizer": {"warmup_vectors": value}})
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"kind": "adding", "task": {"seq_len": 0}},
+        {"kind": "ablation", "task": {"test_gap": -1}},
+        {"kind": "gridworld", "task": {"train_objects": 26}},
+        {"kind": "gridworld", "task": {"ood_objects": "3,26"}},
+        {"kind": "transformer-toy", "model": {"heads": 3}},
+        {"kind": "transformer-toy", "model": {"heads": 0}},
+    ],
+    ids=["seq_len", "gap", "train_objects", "ood_objects", "heads", "zero_heads"],
+)
+def test_task_sizes_rejected_up_front(data):
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+
+
+def test_task_sizes_checked_only_for_the_kinds_using_them():
+    bad = {"task": {"seq_len": 0, "train_objects": 30}, "model": {"heads": 3}}
+    for kind in ("bounds", "hoeffding", "gaussian-analysis"):
+        config_from_dict({"kind": kind, **bad})

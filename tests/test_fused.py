@@ -15,7 +15,7 @@ from vqcomm import autodiff as ad
 from vqcomm.autodiff import Tensor
 from vqcomm.models.common import CommunicationQuantizer
 from vqcomm.models.rim import RimModel, RimRegressor
-from vqcomm.nn import GRUCell, StackedGRU
+from vqcomm.nn import StackedGRU, gru_cell
 from vqcomm.protocols import adding_config
 from vqcomm.quantizer import (
     Codebook,
@@ -234,13 +234,14 @@ def _fused_cell(module, h, x, w_x, w_h, b_x, b_h):
     return module(h, x)
 
 
+# "GRUCell": one unstacked cell, ``nn.gru_cell`` on 2-D weights
 @pytest.mark.parametrize("stacked", [True, False], ids=["StackedGRU", "GRUCell"])
 def test_gru_cell_matches_composite_graph(stacked):
     rng = np.random.default_rng(21)
-    module = StackedGRU(rng, 3, 2, 5) if stacked else GRUCell(rng, 2, 5)
+    fused = functools.partial(_fused_cell, StackedGRU(rng, 3, 2, 5)) if stacked else gru_cell
     arrays = _gru_arrays(rng, stacked)
     weight = rng.normal(size=arrays[0].shape)
-    out_f, grads_f = _cell_result(functools.partial(_fused_cell, module), arrays, weight)
+    out_f, grads_f = _cell_result(fused, arrays, weight)
     out_c, grads_c = _cell_result(_composite_gru, arrays, weight)
     _assert_same(out_f, out_c)
     for a, b in zip(grads_f, grads_c):

@@ -15,13 +15,9 @@ from vqcomm.models import (
     RimRegressor,
     TransformerBlock,
     TransformerClassifier,
-    ablation_site,
     gnn_step,
-    load_checkpoint,
-    restore_into,
     rim_step,
     rim_step_detailed,
-    save_checkpoint,
     transformer_forward,
 )
 from vqcomm.quantizer import QuantizerConfig
@@ -344,20 +340,6 @@ def test_rim_all_modules_active_when_k_equals_M():
     assert np.array_equal(info.active_mask, np.ones((4, 3)))
 
 
-def test_rim_one_hot_communication_reads_module_one():
-    rng = np.random.default_rng(16)
-    model = RimModel(rng, input_dim=2, hidden=5, num_modules=3, k=2)
-    model.comm_value.weight.data[...] = rng.normal(size=(5, 5))
-    state = Tensor(rng.normal(size=(2, 3, 5)))
-    comm_mask = np.zeros((2, 3))
-    comm_mask[:, 0] = 1.0  # only module 1 may be attended to
-    info = rim_step_detailed(state, Tensor(rng.normal(size=(2, 2))), model, comm_mask=comm_mask)
-    v1 = info.updated.data[:, 0] @ model.comm_value.weight.data
-    for i in range(3):
-        h_i = info.new_state.data[:, i] - info.updated.data[:, i]
-        assert np.max(np.abs(h_i - v1)) < 1e-12
-
-
 def test_rim_matches_pseudocode_oracle():
     rng = np.random.default_rng(17)
     model = RimModel(rng, input_dim=3, hidden=7, num_modules=3, k=2)
@@ -466,92 +448,6 @@ def test_shared_codebook_identity_across_sites():
     loss = ad.add(ad.scale(qouts[0].codebook_loss, 1.0), ad.scale(qouts[1].codebook_loss, 1.0))
     ad.backward(loss)
     assert quantizer.codebook.entries.grad is not None
-
-
-# ---------------------------------------------------------------------------
-# ablation-site variants
-# ---------------------------------------------------------------------------
-
-
-def test_ablation_site_default_is_identity_behavior():
-    rng = np.random.default_rng(30)
-    quantizer = _quantizer(4, 2, 6, rng)
-    model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=quantizer)
-    variant = ablation_site(model, "communication_result")
-    state = rng.normal(size=(2, 3, 6))
-    x = rng.normal(size=(2, 2))
-    out1, _ = rim_step(Tensor(state), Tensor(x), model)
-    out2, _ = rim_step(Tensor(state), Tensor(x), variant)
-    assert np.array_equal(out1.data, out2.data)
-
-
-def test_ablation_site_shares_parameters():
-    rng = np.random.default_rng(31)
-    quantizer = _quantizer(4, 2, 6, rng)
-    model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=quantizer)
-    variant = ablation_site(model, "communication_input")
-    assert variant.site == "communication_input"
-    assert model.site == "communication_result"
-    for p, q in zip(model.parameters(), variant.parameters()):
-        assert p is q
-    assert variant.quantizer is model.quantizer
-
-
-def test_ablation_site_moves_gnn_quantization():
-    rng = np.random.default_rng(32)
-    quantizer = _quantizer(8, 2, 6, rng, spread=2.0)
-    model = GnnModel(rng, node_dim=4, action_dim=2, msg_dim=6, quantizer=quantizer)
-    variant = ablation_site(model, "communication_input")
-    nodes = rng.normal(size=(1, 3, 4))
-    actions = rng.normal(size=(1, 3, 2))
-    base_delta, _ = gnn_step(Tensor(nodes), Tensor(actions), model)
-    moved_delta, qouts = gnn_step(Tensor(nodes), Tensor(actions), variant)
-    assert qouts and not np.allclose(base_delta.data, moved_delta.data)
-
-
-def test_ablation_site_rejects_invalid_pairs():
-    rng = np.random.default_rng(33)
-    model = GnnModel(rng, node_dim=3, action_dim=2, msg_dim=4)
-    with pytest.raises(ConfigError, match="invalid"):
-        ablation_site(model, "recurrent_update")
-    rim = RimModel(rng, input_dim=2, hidden=6, num_modules=2, k=1, quantizer=_quantizer(4, 2, 6, rng))
-    with pytest.raises(ConfigError, match="dimension"):
-        ablation_site(rim, "raw_input")
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-# ---------------------------------------------------------------------------
-
-
-def test_checkpoint_roundtrip_bit_exact(tmp_path):
-    rng = np.random.default_rng(25)
-    quantizer = _quantizer(4, 2, 6, rng)
-    model = RimModel(rng, input_dim=2, hidden=6, num_modules=2, k=1, quantizer=quantizer)
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, model, quantizer, extra={"note": "test"})
-
-    rng2 = np.random.default_rng(999)
-    quantizer2 = CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=6))
-    model2 = RimModel(rng2, input_dim=2, hidden=6, num_modules=2, k=1, quantizer=quantizer2)
-    payload = load_checkpoint(path)
-    restore_into(model2, quantizer2, payload)
-    for p, p2 in zip(model.parameters(), model2.parameters()):
-        assert p.name == p2.name
-        assert np.array_equal(p.data, p2.data)
-    assert np.array_equal(quantizer2.codebook.entries.data, quantizer.codebook.entries.data)
-    assert quantizer2.codebook.initialized
-    assert payload["header"]["extra"] == {"note": "test"}
-
-
-def test_checkpoint_shape_mismatch_rejected(tmp_path):
-    rng = np.random.default_rng(26)
-    model = RimModel(rng, input_dim=2, hidden=6, num_modules=2, k=1)
-    path = tmp_path / "model.npz"
-    save_checkpoint(path, model)
-    other = RimModel(np.random.default_rng(0), input_dim=2, hidden=8, num_modules=2, k=1)
-    with pytest.raises(ValueError):
-        restore_into(other, None, load_checkpoint(path))
 
 
 def test_quantizer_rejects_empty_warmup_reservoir():

@@ -3,7 +3,7 @@ import pytest
 
 from vqcomm import autodiff as ad
 from vqcomm.autodiff import Tensor
-from vqcomm.nn import GRUCell, Linear, MLP, Parameter
+from vqcomm.nn import Linear, MLP, Parameter, glorot, gru_cell
 from vqcomm.optim import Adam, MissingGradient, SGD
 
 
@@ -80,23 +80,23 @@ def test_gru_cell_gradcheck():
     from oracles import finite_difference_grads
 
     rng = np.random.default_rng(5)
-    cell = GRUCell(rng, 3, 4)
+    # one unstacked cell, d_in=3, H=4: (w_x, w_h, b_x, b_h)
+    params = [Parameter(glorot(rng, 3, 12)), Parameter(glorot(rng, 4, 12)), Parameter(np.zeros(12)), Parameter(np.zeros(12))]
     h0 = rng.uniform(-1, 1, size=(2, 4))
     x0 = rng.uniform(-1, 1, size=(2, 3))
-    params = cell.parameters()
 
     def scalar(arrs):
         for p, a in zip(params, arrs):
             p.data = a
-        out = cell(Tensor(h0), Tensor(x0))
+        out = gru_cell(Tensor(h0), Tensor(x0), *params)
         return float(out.data.sum())
 
     arrays = [p.data.copy() for p in params]
     expected = finite_difference_grads(scalar, arrays)
     for p, a in zip(params, arrays):
         p.data = a
-    cell.zero_grad()
-    out = cell(Tensor(h0), Tensor(x0))
+        p.zero_grad()
+    out = gru_cell(Tensor(h0), Tensor(x0), *params)
     ad.backward(ad.tsum(out))
     for p, e in zip(params, expected):
         assert np.max(np.abs(p.grad - e)) < 1e-6

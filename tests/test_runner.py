@@ -161,6 +161,30 @@ def test_sweep_single_cell_equals_run():
     assert records[0].final == single.final
 
 
+@pytest.mark.parametrize(
+    "kind, site, expected",
+    [("adding", "raw_input", 8), ("ablation", "raw_input", 2), ("ablation", "recurrent_update", 8)],
+)
+def test_quantizer_dim_follows_the_site_only_in_ablation(kind, site, expected):
+    cfg = config_from_dict({**TINY_ADDING, "kind": kind, "quantizer": {**TINY_ADDING["quantizer"], "site": site}})
+    assert runner_module.quantizer_dim(cfg) == expected
+
+
+def test_sweep_quantizer_dim_matches_the_run():
+    """Kind adding quantizes the hidden state whatever quantizer.site says, so
+    G=4 divides its width (8) and the cell must run, not be skipped."""
+    base = config_from_dict(
+        {
+            **TINY_ADDING,
+            "training": {"epochs": 1, "batch_size": 12, "lr": 1e-3},
+            "quantizer": {**TINY_ADDING["quantizer"], "site": "raw_input"},
+        }
+    )
+    records, skipped, _ = sweep(base, L_values=[4], G_values=[4], seeds=[0])
+    assert not skipped
+    assert records[0].quantizer.config.m == 8
+
+
 def test_sweep_rejects_analysis_kinds():
     with pytest.raises(ConfigError):
         sweep(config_from_dict({"kind": "bounds"}), [2], [1], [0])
@@ -258,8 +282,8 @@ def test_epoch_memory_does_not_grow_with_batches(monkeypatch):
 def _capture_quantizer(monkeypatch, built):
     original = runner_module._build_quantizer
 
-    def capturing(config, m):
-        built.append(original(config, m))
+    def capturing(config):
+        built.append(original(config))
         return built[-1]
 
     monkeypatch.setattr(runner_module, "_build_quantizer", capturing)

@@ -202,52 +202,6 @@ def test_rank_matches_sort_oracle():
         assert rank_next_state(pred, cands, true_index) == rank_by_sort(pred, cands, true_index)
 
 
-# ---------------------------------------------------------------------------
-# dataset files
-# ---------------------------------------------------------------------------
-
-
-def test_adding_dataset_roundtrip(tmp_path):
-    from vqcomm.tasks import load_adding_dataset, save_adding_dataset
-
-    samples = gen_adding(12, seq_len=6, gap_len=3, seed=5)
-    path = tmp_path / "adding.csv"
-    save_adding_dataset(path, samples, {"seq_len": 6, "gap_len": 3, "seed": 5})
-    header, loaded = load_adding_dataset(path)
-    assert header["task"] == "adding"
-    assert header["seed"] == 5
-    assert len(loaded) == 12
-    for a, b in zip(samples, loaded):
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.markers, b.markers)
-        assert a.target == b.target
-        assert a.gap_len == b.gap_len
-
-
-def test_gridworld_dataset_roundtrip(tmp_path):
-    from vqcomm.tasks import load_gridworld_dataset, save_gridworld_dataset
-
-    transitions = gen_gridworld_episodes(num_objects=3, grid_size=4, steps=5, episodes=4, seed=2)
-    path = tmp_path / "grid.csv"
-    save_gridworld_dataset(path, transitions, {"num_objects": 3, "grid_size": 4, "seed": 2})
-    header, loaded = load_gridworld_dataset(path)
-    assert header["num_objects"] == 3
-    assert len(loaded) == len(transitions)
-    for a, b in zip(transitions, loaded):
-        assert a.positions == b.positions
-        assert a.actions == b.actions
-        assert a.next_positions == b.next_positions
-
-
-def test_dataset_rejects_foreign_files(tmp_path):
-    from vqcomm.tasks import load_adding_dataset
-
-    path = tmp_path / "not_a_dataset.csv"
-    path.write_text("a,b\n1,2\n")
-    with pytest.raises(ValueError, match="header"):
-        load_adding_dataset(path)
-
-
 def test_ood_split_differs_only_in_declared_knob():
     # adding: split configs share everything except the gap knob
     train_kwargs = dict(count=8, seq_len=6, seed=3, max_value=1.0)

@@ -280,3 +280,21 @@ def test_attention_discretized_at_least_continuous_sample():
         cont = attention_robustness(2, 8, quantize_on=False, seed=seed)
         wins += disc["accuracy"] >= cont["accuracy"]
     assert wins >= 2
+
+
+def test_attention_kmeans_seeds_on_the_freshest_warmup_heads(monkeypatch):
+    """The study's quantizer keeps the last warmup_vectors * G heads, as the runner's does."""
+    from vqcomm.models import common
+
+    seen = []
+    original = common.kmeans_init
+
+    def recording(samples, L, **kwargs):
+        seen.append(samples.copy())
+        return original(samples, L, **kwargs)
+
+    monkeypatch.setattr(common, "kmeans_init", recording)
+    # batch 64 does not divide 100: 128 outputs (512 heads) pass before the threshold
+    attention_robustness(2, 8, quantize_on=True, seed=0, steps=3, eval_episodes=8, warmup_vectors=100)
+    [samples] = seen
+    assert samples.shape == (100 * 4, 4)
