@@ -11,7 +11,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, fields
 
-from .models.common import ConfigError
+from .models.common import ConfigError, check_site
 
 KINDS = (
     "adding",
@@ -20,8 +20,10 @@ KINDS = (
     "gaussian-analysis",
     "bounds",
     "hoeffding",
-    "ablation",
 )
+
+# the architecture whose quantization sites each training kind offers
+_ARCHITECTURES = {"adding": "rim", "gridworld": "gnn", "transformer-toy": "transformer"}
 
 
 @dataclass
@@ -125,6 +127,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
+        if self.kind in _ARCHITECTURES:
+            check_site(_ARCHITECTURES[self.kind], self.quantizer.site)
         _check_task_sizes(self)
 
     def to_dict(self) -> dict:
@@ -134,7 +138,7 @@ class ExperimentConfig:
 def _check_task_sizes(config: ExperimentConfig) -> None:
     """Reject, before the run, the sizes the kind's generators and model would refuse."""
     t, m = config.task, config.model
-    if config.kind in ("adding", "ablation"):
+    if config.kind == "adding":
         if t.seq_len < 1:
             raise ConfigError(f"task.seq_len must be positive, got {t.seq_len}")
         for key in ("train_gap", "val_gap", "test_gap"):
@@ -180,26 +184,17 @@ def _coerce(raw, target_type, key: str):
             raise ConfigError(f"{key}: cannot parse {raw!r} as float") from None
     if target_type is str:
         return str(raw)
-    if target_type in (tuple, "tuple"):
-        if isinstance(raw, (list, tuple)):
-            return tuple(int(v) for v in raw)
-        parts = [p for p in str(raw).replace("(", "").replace(")", "").split(",") if p.strip()]
-        return tuple(int(p) for p in parts)
+    if target_type is tuple:
+        if not isinstance(raw, (list, tuple)):
+            raw = [p for p in str(raw).replace("(", "").replace(")", "").split(",") if p.strip()]
+        return tuple(_coerce(v, int, key) for v in raw)
     raise ConfigError(f"{key}: unsupported field type {target_type}")
 
 
 def _field_types(cls) -> dict:
-    out = {}
-    for f in fields(cls):
-        t = f.type if not isinstance(f.type, str) else f.type
-        if isinstance(t, str):
-            if t.startswith("tuple"):
-                out[f.name] = tuple
-            else:
-                out[f.name] = {"int": int, "float": float, "bool": bool, "str": str}.get(t, str)
-        else:
-            out[f.name] = t
-    return out
+    """Field name -> type; every annotation is a string under ``from __future__ import annotations``."""
+    scalars = {"int": int, "float": float, "bool": bool, "str": str}
+    return {f.name: tuple if f.type.startswith("tuple") else scalars.get(f.type, str) for f in fields(cls)}
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:

@@ -9,8 +9,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import ShapeError, Tensor
 from ..nn import Linear, Module, Parameter, glorot
-from ..quantizer import QuantizationOutput
-from .common import CommunicationQuantizer, ConfigError
+from .common import CommunicationQuantizer, ConfigError, snap_site
 
 
 class MultiHeadAttention(Module):
@@ -63,25 +62,17 @@ class TransformerBlock(Module):
         self.ff2 = Linear(rng, ff_hidden, dim, name=f"{name}.ff2")
         self.apply_discretization = apply_discretization
 
-    def __call__(
-        self, x: Tensor, quantizer: CommunicationQuantizer | None = None
-    ) -> tuple[Tensor, QuantizationOutput | None]:
-        att = self.attn(x, x, x)
-        qout = None
-        if quantizer is not None and self.apply_discretization:
-            flat = ad.reshape(att, (-1, att.shape[-1]))
-            z, qout = quantizer.apply(flat)
-            att = ad.reshape(z, att.shape)
-        x = ad.add(x, att)
+    def __call__(self, x: Tensor, quantizer: CommunicationQuantizer | None = None) -> Tensor:
+        x = ad.add(x, snap_site(quantizer, self.apply_discretization, self.attn(x, x, x)))
         ff = self.ff2(ad.relu(self.ff1(x)))
-        return ad.add(x, ff), qout
+        return ad.add(x, ff)
 
 
 def transformer_forward(
     x: Tensor,
     blocks: list[TransformerBlock],
     quantizer: CommunicationQuantizer | None = None,
-) -> tuple[Tensor, list[QuantizationOutput]]:
+) -> Tensor:
     """Run the block stack; discretization only allowed on the last two blocks."""
     if quantizer is not None:
         for i, block in enumerate(blocks):
@@ -89,12 +80,9 @@ def transformer_forward(
                 raise ConfigError(
                     f"block {i} of {len(blocks)} has discretization enabled; only the last two may"
                 )
-    qouts = []
     for block in blocks:
-        x, qout = block(x, quantizer)
-        if qout is not None:
-            qouts.append(qout)
-    return x, qouts
+        x = block(x, quantizer)
+    return x
 
 
 class TransformerClassifier(Module):
@@ -132,7 +120,7 @@ class TransformerClassifier(Module):
         self.readout = Linear(rng, dim, vocab, name="readout")
         self.quantizer = quantizer
 
-    def __call__(self, tokens: np.ndarray, marks: np.ndarray) -> tuple[Tensor, list[QuantizationOutput]]:
+    def __call__(self, tokens: np.ndarray, marks: np.ndarray) -> Tensor:
         """tokens: (B, T) ints; marks: (B,) marked position. Logits read from slot 0."""
         B, T = tokens.shape
         flat = ad.gather_rows(self.embed, tokens.reshape(-1))
@@ -140,6 +128,6 @@ class TransformerClassifier(Module):
         flag = np.zeros((B, T, 1))
         flag[np.arange(B), marks, 0] = 1.0
         x = ad.add(x, ad.mul(Tensor(flag), self.mark_vec))
-        x, qouts = transformer_forward(x, self.blocks, self.quantizer)
+        x = transformer_forward(x, self.blocks, self.quantizer)
         first = ad.reshape(ad.split(x, T, axis=1)[0], (B, self.embed.shape[1]))
-        return self.readout(first), qouts
+        return self.readout(first)

@@ -6,6 +6,7 @@ import logging
 
 import numpy as np
 
+from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..quantizer import (
     Codebook,
@@ -43,7 +44,8 @@ class CommunicationQuantizer:
 
     Lifecycle: ``collecting`` passes vectors through unchanged while caching
     them for k-means; after ``initialize()`` every ``apply`` call snaps its
-    input through the codebook.
+    input through the codebook. The quantizer keeps the output of each snap
+    whose losses are on the tape, until ``take_outputs()`` hands them over.
     """
 
     def __init__(
@@ -68,32 +70,38 @@ class CommunicationQuantizer:
         self.hard = False  # gumbel only: argmax codes at evaluation
         self._reservoir = np.zeros((0, config.d))
         self._collected_count = 0
+        self._outputs: list[QuantizationOutput] = []
 
     @property
     def active(self) -> bool:
         return self.codebook.initialized
 
-    def apply(self, h: Tensor) -> tuple[Tensor, QuantizationOutput | None]:
+    def apply(self, h: Tensor) -> Tensor:
+        """Snap (or, while collecting, pass through) a tensor of shape (..., m)."""
+        flat = h if h.ndim == 2 else ad.reshape(h, (-1, h.shape[-1]))
         if not self.active:
             # keep only the freshest warmup vectors: early ones come from a
             # barely-trained sender and would seed k-means poorly
-            flat = h.data.reshape(-1, self.config.d)
-            self._reservoir = np.concatenate([self._reservoir, flat])[-self.warmup_vectors :]
-            self._collected_count += flat.shape[0]
-            return h, None
-        if self.method == "gumbel":
-            if self.hard:
-                # evaluation: deterministic argmax, no sampling
-                out = gumbel_quantize(
-                    h, self.config, self.codebook, temperature=self.temperature, noise=0.0, hard=True
-                )
-            else:
-                out = gumbel_quantize(
-                    h, self.config, self.codebook, temperature=self.temperature, rng=self.rng
-                )
+            rows = flat.data.reshape(-1, self.config.d)
+            self._reservoir = np.concatenate([self._reservoir, rows])[-self.warmup_vectors :]
+            self._collected_count += rows.shape[0]
+            z = flat
         else:
-            out = quantize(h, self.config, self.codebook)
-        return out.z, out
+            if self.method == "vq":
+                out = quantize(flat, self.config, self.codebook)
+            elif self.hard:  # gumbel at evaluation: deterministic argmax, no sampling
+                out = gumbel_quantize(flat, self.config, self.codebook, self.temperature, noise=0.0, hard=True)
+            else:
+                out = gumbel_quantize(flat, self.config, self.codebook, self.temperature, rng=self.rng)
+            if out.codebook_loss.requires_grad or out.commitment_loss.requires_grad:
+                self._outputs.append(out)  # a frozen forward keeps nothing
+            z = out.z
+        return z if h.ndim == 2 else ad.reshape(z, h.shape)
+
+    def take_outputs(self) -> list[QuantizationOutput]:
+        """The kept snap outputs in snap order; the quantizer forgets them."""
+        outputs, self._outputs = self._outputs, []
+        return outputs
 
     def initialize(self, seed: int | np.random.Generator = 0) -> None:
         """Run k-means over the collected warmup vectors and enable quantization."""
@@ -113,3 +121,7 @@ class CommunicationQuantizer:
     def collected_count(self) -> int:
         return self._collected_count
 
+
+def snap_site(quantizer: CommunicationQuantizer | None, here: bool, h: Tensor) -> Tensor:
+    """``h`` through the quantizer when ``here`` is the quantized site of a model that has one."""
+    return quantizer.apply(h) if quantizer is not None and here else h

@@ -8,8 +8,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..nn import MLP, Module
-from ..quantizer import QuantizationOutput
-from .common import CommunicationQuantizer, check_site
+from .common import CommunicationQuantizer, check_site, snap_site
 
 
 class GnnModel(Module):
@@ -59,37 +58,23 @@ def _pair_indices(batch: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return (offsets + recv).reshape(-1), (offsets + send).reshape(-1), agg
 
 
-def gnn_step(
-    nodes: Tensor, actions: Tensor, model: GnnModel
-) -> tuple[Tensor, list[QuantizationOutput]]:
+def gnn_step(nodes: Tensor, actions: Tensor, model: GnnModel) -> Tensor:
     """One message-passing step: returns per-node deltas.
 
     ``nodes``: (B, N, node_dim); ``actions``: (B, N, action_dim).
     """
     B, N, nd = nodes.shape
-    qouts: list[QuantizationOutput] = []
     if N > 1:
         flat = ad.reshape(nodes, (B * N, nd))
         recv_idx, send_idx, agg = _pair_indices(B, N)
         pair_in = ad.concat([ad.gather_rows(flat, recv_idx), ad.gather_rows(flat, send_idx)], axis=-1)
-        eps = model.f_edge(pair_in)  # (B*P, msg_dim)
-        if model.quantizer is not None and model.site == "communication_input":
-            z, qout = model.quantizer.apply(eps)
-            if qout is not None:
-                qouts.append(qout)
-            eps = z
+        eps = snap_site(model.quantizer, model.site == "communication_input", model.f_edge(pair_in))  # (B*P, msg_dim)
         eps = ad.reshape(eps, (B, N * (N - 1), model.msg_dim))
         summed = ad.matmul(Tensor(agg), eps)  # (B, N, msg_dim)
     else:
         summed = Tensor(np.zeros((B, N, model.msg_dim)))
-    if model.quantizer is not None and model.site == "communication_result":
-        flat_sum = ad.reshape(summed, (B * N, model.msg_dim))
-        z, qout = model.quantizer.apply(flat_sum)
-        if qout is not None:
-            qouts.append(qout)
-        summed = ad.reshape(z, (B, N, model.msg_dim))
-    delta = model.f_node(ad.concat([nodes, actions, summed], axis=-1))
-    return delta, qouts
+    summed = snap_site(model.quantizer, model.site == "communication_result", summed)
+    return model.f_node(ad.concat([nodes, actions, summed], axis=-1))
 
 
 class ContrastiveWorldModel(Module):
@@ -127,10 +112,9 @@ class ContrastiveWorldModel(Module):
     def encode(self, obs: np.ndarray) -> Tensor:
         return self.encoder(Tensor(obs))
 
-    def predict_next(self, obs: np.ndarray, actions: np.ndarray) -> tuple[Tensor, list[QuantizationOutput]]:
+    def predict_next(self, obs: np.ndarray, actions: np.ndarray) -> Tensor:
         z = self.encode(obs)
-        delta, qouts = gnn_step(z, Tensor(actions), self.gnn)
-        return ad.add(z, delta), qouts
+        return ad.add(z, gnn_step(z, Tensor(actions), self.gnn))
 
     def contrastive_loss(
         self,
@@ -138,11 +122,11 @@ class ContrastiveWorldModel(Module):
         actions: np.ndarray,
         next_obs: np.ndarray,
         neg_obs: np.ndarray,
-    ) -> tuple[Tensor, list[QuantizationOutput]]:
-        pred, qouts = self.predict_next(obs, actions)
+    ) -> Tensor:
+        pred = self.predict_next(obs, actions)
         z_next = self.encode(next_obs)
         z_neg = self.encode(neg_obs)
         pos = ad.tmean(ad.sqdist(pred, z_next))
         neg = ad.tmean(ad.sqdist(z_neg, z_next))
         hinge = ad.relu(ad.add(ad.scale(neg, -1.0), self.margin))
-        return ad.add(pos, hinge), qouts
+        return ad.add(pos, hinge)

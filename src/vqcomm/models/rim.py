@@ -18,8 +18,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..nn import Linear, Module, StackedGRU
-from ..quantizer import QuantizationOutput
-from .common import CommunicationQuantizer, ConfigError, check_site
+from .common import CommunicationQuantizer, ConfigError, check_site, snap_site
 
 
 class RimModel(Module):
@@ -97,19 +96,11 @@ class RimStepInfo:
     updated: Tensor  # per-module states after the recurrent update, before communication
     active_mask: np.ndarray  # (B, M) 0/1
     comm_weights: Tensor  # (B, M, M), rows sum to 1
-    qouts: list[QuantizationOutput]
 
 
 def rim_step_detailed(state: Tensor, x_t: Tensor, model: RimModel) -> RimStepInfo:
     """One time step. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
-    B = state.shape[0]
-    qouts: list[QuantizationOutput] = []
-
-    if model.quantizer is not None and model.site == "raw_input":
-        z, qout = model.quantizer.apply(x_t)
-        if qout is not None:
-            qouts.append(qout)
-        x_t = z
+    x_t = snap_site(model.quantizer, model.site == "raw_input", x_t)
 
     scores = input_attention_scores(model, state, x_t)
     mask = top_k_mask(scores, model.k)  # (B, M)
@@ -118,52 +109,25 @@ def rim_step_detailed(state: Tensor, x_t: Tensor, model: RimModel) -> RimStepInf
     state_mfirst = ad.transpose(state, 0, 1)  # (M, B, H)
     cand = ad.transpose(model.gru(state_mfirst, x_t), 0, 1)  # (B, M, H)
     if model.quantizer is not None and model.site == "recurrent_update":
-        delta = ad.sub(cand, state)
-        flat = ad.reshape(delta, (B * model.M, model.hidden))
-        zq, qout = model.quantizer.apply(flat)
-        if qout is not None:
-            qouts.append(qout)
-        cand = ad.add(state, ad.reshape(zq, (B, model.M, model.hidden)))
+        # not snap_site: the sub and add around the snap must not run when the site is off
+        cand = ad.add(state, model.quantizer.apply(ad.sub(cand, state)))
     on = Tensor(mask[:, :, None])
     off = Tensor(1.0 - mask[:, :, None])
     updated = ad.add(ad.mul(on, cand), ad.mul(off, state))  # (B, M, H)
 
-    comm_source = updated
-    if model.quantizer is not None and model.site == "communication_input":
-        flat = ad.reshape(updated, (B * model.M, model.hidden))
-        z, qout = model.quantizer.apply(flat)
-        if qout is not None:
-            qouts.append(qout)
-        comm_source = ad.reshape(z, (B, model.M, model.hidden))
-
+    comm_source = snap_site(model.quantizer, model.site == "communication_input", updated)
     q = model.comm_query(updated)
     k = model.comm_key(comm_source)
     v = model.comm_value(comm_source)
     logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(model.att_dim))
     att = ad.softmax(logits)
-    h = ad.matmul(att, v)  # (B, M, H)
+    h = snap_site(model.quantizer, model.site == "communication_result", ad.matmul(att, v))  # (B, M, H)
 
-    if model.quantizer is not None and model.site == "communication_result":
-        flat = ad.reshape(h, (B * model.M, model.hidden))
-        z, qout = model.quantizer.apply(flat)
-        if qout is not None:
-            qouts.append(qout)
-        h = ad.reshape(z, (B, model.M, model.hidden))
-
-    return RimStepInfo(
-        new_state=ad.add(updated, h),
-        updated=updated,
-        active_mask=mask,
-        comm_weights=att,
-        qouts=qouts,
-    )
+    return RimStepInfo(new_state=ad.add(updated, h), updated=updated, active_mask=mask, comm_weights=att)
 
 
-def rim_step(
-    state: Tensor, x_t: Tensor, model: RimModel
-) -> tuple[Tensor, list[QuantizationOutput]]:
-    info = rim_step_detailed(state, x_t, model)
-    return info.new_state, info.qouts
+def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
+    return rim_step_detailed(state, x_t, model).new_state
 
 
 class RimRegressor(Module):
@@ -173,13 +137,11 @@ class RimRegressor(Module):
         self.model = model
         self.readout = Linear(rng, model.M * model.hidden, 1, name="readout")
 
-    def __call__(self, inputs: np.ndarray) -> tuple[Tensor, list[QuantizationOutput]]:
+    def __call__(self, inputs: np.ndarray) -> Tensor:
         """inputs: (B, T, input_dim) -> predictions (B, 1)."""
         B, T, _ = inputs.shape
         state = self.model.init_state(B)
-        qouts: list[QuantizationOutput] = []
         for t in range(T):
-            state, step_qouts = rim_step(state, Tensor(inputs[:, t, :]), self.model)
-            qouts.extend(step_qouts)
+            state = rim_step(state, Tensor(inputs[:, t, :]), self.model)
         final = ad.reshape(state, (B, self.model.M * self.model.hidden))
-        return self.readout(final), qouts
+        return self.readout(final)

@@ -19,7 +19,7 @@ def adding_config(
     """Sum-two-marked-values task; OOD knob is the dummy-gap length (50 -> 100)."""
     return config_from_dict(
         {
-            "kind": "ablation" if site != "communication_result" else "adding",
+            "kind": "adding",
             "seed": seed,
             "task": {
                 "seq_len": 10,

@@ -240,9 +240,7 @@ def gumbel_quantize(
 
 
 def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
-    """codebook_loss_weight * mean(codebook) + beta * mean(commitment)."""
-    if isinstance(outputs, QuantizationOutput):
-        outputs = [outputs]
+    """codebook_loss_weight * mean(codebook) + beta * mean(commitment) over a list of snap outputs."""
     outputs = list(outputs)
     if not outputs:
         raise ValueError("combined_aux_loss: no quantization outputs")
@@ -264,24 +262,9 @@ def usage_counts(indices, L: int) -> np.ndarray:
     return np.bincount(np.asarray(indices).reshape(-1) - 1, minlength=L)[:L]
 
 
-def codebook_stats(outputs, L: int | None = None, usage: np.ndarray | None = None) -> CodebookStats:
-    """Usage histogram over code indices and its exponentiated entropy.
-
-    ``usage``, when given, is a histogram of earlier indices that the
-    indices of ``outputs`` are added to.
-    """
-    if isinstance(outputs, QuantizationOutput):
-        outputs = [outputs]
-    outputs = list(outputs)
-    if usage is not None:
-        L = len(usage)
-    if L is None:
-        if not outputs:
-            return CodebookStats(usage=np.zeros(0, dtype=np.int64), perplexity=1.0)
-        L = int(max(int(np.max(o.indices)) for o in outputs))
-    usage = np.zeros(L, dtype=np.int64) if usage is None else np.array(usage, dtype=np.int64)
-    for o in outputs:
-        usage += usage_counts(o.indices, L)
+def codebook_stats(usage: np.ndarray) -> CodebookStats:
+    """The usage histogram (length L, from ``usage_counts``) and its exponentiated entropy."""
+    usage = np.array(usage, dtype=np.int64)
     total = usage.sum()
     if total == 0:
         return CodebookStats(usage=usage, perplexity=1.0)

@@ -46,7 +46,6 @@ EPOCH_COLUMNS = ["epoch", "task_loss", "codebook_loss", "commitment_loss", "tota
 
 METRIC_COLUMNS = {
     "adding": ["split", "loss"],
-    "ablation": ["split", "loss"],
     "gridworld": ["split", "hits_at_1", "mrr"],
     "transformer-toy": ["split", "loss", "accuracy"],
 }
@@ -176,18 +175,13 @@ def emit_record(record: RunRecord, out: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _adding_site(config: ExperimentConfig) -> str:
-    """The RIM's quantization site: movable only in the ablation kind."""
-    return config.quantizer.site if config.kind == "ablation" else "communication_result"
-
-
 def quantizer_dim(config: ExperimentConfig) -> int:
     """Length of the vectors the quantizer of a training kind snaps."""
     if config.kind == "gridworld":
         return config.model.msg_dim
     if config.kind == "transformer-toy":
         return config.model.dim
-    return _ADDING_INPUT_DIM if _adding_site(config) == "raw_input" else config.model.hidden
+    return _ADDING_INPUT_DIM if config.quantizer.site == "raw_input" else config.model.hidden
 
 
 def _build_quantizer(config: ExperimentConfig) -> CommunicationQuantizer | None:
@@ -244,7 +238,7 @@ class _EpochAccumulator:
         b = max(self.batches, 1)
         perplexity = None
         if self.usage is not None:
-            perplexity = codebook_stats([], usage=self.usage).perplexity
+            perplexity = codebook_stats(self.usage).perplexity
         return {
             "epoch": epoch,
             "task_loss": self.task / b,
@@ -259,8 +253,8 @@ def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn
     """Generic epoch loop: warmup/collect, k-means init, then quantized training.
 
     Each epoch shuffles the ``count`` training examples into batches of
-    indices; ``loss_fn(idx)`` returns (task_loss Tensor, qouts). Returns
-    per-epoch metric rows.
+    indices; ``loss_fn(idx)`` returns the task loss Tensor, and the snaps of
+    its forward are taken from the quantizer. Returns per-epoch metric rows.
     """
     opt = _make_optimizer(config, params)
     train_rng = stream_rng(config.seed, "training")
@@ -272,7 +266,8 @@ def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn
             # the previous batch's graph stays referenced until this forward
             # is built: freed any earlier, its pages go back to the OS and the
             # forward faults them in again (gridworld-vq ran 36% slower)
-            task_loss, qouts = loss_fn(batch)
+            task_loss = loss_fn(batch)
+            qouts = quantizer.take_outputs() if quantizer is not None else []
             loss = task_loss
             cb = cm = 0.0
             if qouts:
@@ -332,7 +327,7 @@ def _adding_arrays(samples):
 
 
 def _eval_adding(regressor, inputs, targets) -> float:
-    pred, _ = regressor(inputs)
+    pred = regressor(inputs)
     return float(((pred.data - targets) ** 2).mean())
 
 
@@ -356,7 +351,7 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
         k=config.model.k,
         att_dim=config.model.att_dim,
         quantizer=quantizer,
-        site=_adding_site(config),
+        site=config.quantizer.site,
     )
     regressor = RimRegressor(init_rng, model)
     params = regressor.parameters() + ([quantizer.codebook.entries] if quantizer else [])
@@ -364,8 +359,7 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
     train_inputs, train_targets = _adding_arrays(train_set)
 
     def loss_fn(idx):
-        pred, qouts = regressor(train_inputs[idx])
-        return ad.mse(pred, Tensor(train_targets[idx])), qouts
+        return ad.mse(regressor(train_inputs[idx]), Tensor(train_targets[idx]))
 
     epochs = _train_loop(config, quantizer, params, len(train_set), loss_fn)
     with _evaluation(quantizer, params):
@@ -388,7 +382,7 @@ def _gridworld_arrays(transitions, grid_size):
 
 
 def _eval_gridworld(model, obs, act, nxt) -> dict:
-    pred, _ = model.predict_next(obs, act)
+    pred = model.predict_next(obs, act)
     latents = model.encode(nxt).data.reshape(len(obs), -1)
     preds = pred.data.reshape(len(obs), -1)
     ranks = [rank_next_state(preds[i], latents, true_index=i) for i in range(len(obs))]
@@ -450,7 +444,7 @@ def _gen_copy_batch(rng, count, length, vocab):
 
 
 def _eval_transformer(model, tokens, marks, labels) -> dict:
-    logits, _ = model(tokens, marks)
+    logits = model(tokens, marks)
     loss = ad.cross_entropy(logits, labels).item()
     acc = float((logits.data.argmax(axis=1) == labels).mean())
     return {"loss": loss, "accuracy": acc}
@@ -479,8 +473,7 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
     params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
 
     def loss_fn(idx):
-        logits, qouts = model(train_tokens[idx], train_marks[idx])
-        return ad.cross_entropy(logits, train_labels[idx]), qouts
+        return ad.cross_entropy(model(train_tokens[idx], train_marks[idx]), train_labels[idx])
 
     epochs = _train_loop(config, quantizer, params, len(train_tokens), loss_fn)
     with _evaluation(quantizer, params):
@@ -570,7 +563,6 @@ def run_hoeffding(config: ExperimentConfig) -> RunRecord:
 
 _RUNNERS = {
     "adding": run_adding,
-    "ablation": run_adding,
     "gridworld": run_gridworld,
     "transformer-toy": run_transformer_toy,
     "gaussian-analysis": run_gaussian_analysis,

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .models.common import CommunicationQuantizer, ConfigError
+from .models.common import CommunicationQuantizer, ConfigError, snap_site
 from .nn import Parameter
 from .optim import Adam, fill_missing_grads
 from .quantizer import Codebook, QuantizerConfig, combined_aux_loss, kmeans_init, nearest_indices
@@ -251,7 +251,6 @@ def attention_robustness(
     dim: int = 16,
     L: int = 16,
     G: int = 4,
-    train_episodes: int = 512,
     eval_episodes: int = 512,
     steps: int = 60,
     batch: int = 64,
@@ -289,25 +288,22 @@ def attention_robustness(
         t_items = Tensor(items)
         scores = ad.scale(ad.matmul(t_items, query), 1.0 / math.sqrt(dim))
         alpha = ad.softmax(ad.transpose(scores))  # (B, 1, D+1)
-        out = ad.reshape(ad.matmul(alpha, t_items), (items.shape[0], dim))
-        q_out = None
-        if quantizer is not None:
-            out, q_out = quantizer.apply(out)
-        logits = ad.reshape(
+        out = snap_site(quantizer, True, ad.reshape(ad.matmul(alpha, t_items), (items.shape[0], dim)))
+        return ad.reshape(
             ad.matmul(t_items, ad.reshape(out, (items.shape[0], dim, 1))),
             (items.shape[0], items.shape[1]),
         )
-        return logits, q_out
 
     data_rng = keyed_rng(seed, 1)
     for _ in range(steps):
         items, labels = make_batch(data_rng, batch, train_distractors)
-        logits, q_out = forward(items)
-        if quantizer is not None and not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
-            quantizer.initialize(seed=keyed_rng(seed, 2))
-        loss = ad.cross_entropy(logits, labels)
-        if q_out is not None:
-            loss = ad.add(loss, combined_aux_loss(q_out, quantizer.config))
+        loss = ad.cross_entropy(forward(items), labels)
+        if quantizer is not None:
+            q_outs = quantizer.take_outputs()
+            if q_outs:
+                loss = ad.add(loss, combined_aux_loss(q_outs, quantizer.config))
+            if not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
+                quantizer.initialize(seed=keyed_rng(seed, 2))
         opt.zero_grad()
         ad.backward(loss)
         fill_missing_grads(params)
@@ -317,8 +313,8 @@ def attention_robustness(
     items, labels = make_batch(eval_rng, eval_episodes, test_distractors)
     train_items, train_labels = make_batch(eval_rng, eval_episodes, train_distractors)
     with ad.no_grad(params):
-        logits, _ = forward(items)
-        train_logits, _ = forward(train_items)
+        logits = forward(items)
+        train_logits = forward(train_items)
     accuracy = float((logits.data.argmax(axis=1) == labels).mean())
     train_accuracy = float((train_logits.data.argmax(axis=1) == train_labels).mean())
     return {

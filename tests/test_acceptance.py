@@ -31,6 +31,8 @@ from vqcomm.theory import (
 
 from oracles import exhaustive_nearest, finite_difference_grads, gridworld_step_reference
 
+pytestmark = pytest.mark.acceptance
+
 
 def _announce(n: int, detail: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {detail}")
@@ -251,19 +253,19 @@ def test_criterion_7_baseline_reduction():
     gnn = GnnModel(rng, node_dim=4, action_dim=5, msg_dim=6, hidden=8)
     nodes = rng.normal(size=(2, 4, 4))
     actions = rng.normal(size=(2, 4, 5))
-    delta, _ = gnn_step(Tensor(nodes), Tensor(actions), gnn)
+    delta = gnn_step(Tensor(nodes), Tensor(actions), gnn)
     gnn_err = float(np.max(np.abs(delta.data - _gnn_reference(gnn, nodes, actions))))
 
     blocks = [TransformerBlock(rng, dim=8, heads=2, ff_hidden=12, name=f"b{i}") for i in range(2)]
     x = rng.normal(size=(4, 8))
-    out, _ = transformer_forward(Tensor(x), blocks)
+    out = transformer_forward(Tensor(x), blocks)
     tr_err = float(np.max(np.abs(out.data - _transformer_reference(blocks, x))))
 
     rim = RimModel(rng, input_dim=3, hidden=7, num_modules=3, k=2)
     rim.comm_value.weight.data[...] = rng.normal(size=(7, 7)) * 0.3
     state = rng.normal(size=(4, 3, 7))
     xt = rng.normal(size=(4, 3))
-    new_state, _ = rim_step(Tensor(state), Tensor(xt), rim)
+    new_state = rim_step(Tensor(state), Tensor(xt), rim)
     expect, _ = _rim_reference(rim, state, xt)
     rim_err = float(np.max(np.abs(new_state.data - expect)))
 

@@ -278,3 +278,19 @@ def test_baseline_run_writes_no_codebook(tmp_path):
     assert main(["run", "adding", *_TINY_ADDING_FLAGS, "--out", str(tmp_path / "toy")]) == 0
     assert (tmp_path / "toy.json").exists()
     assert not (tmp_path / "toy_codebook.vqcb").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "transformer-toy", "--set", "quantizer.site=raw_input"],
+        ["run", "adding", "--set", "quantizer.discretize=true", "--set", "quantizer.site=raw_input"],
+        ["run", "gridworld", "--set", "task.ood_objects=a,b"],
+    ],
+    ids=["transformer_site", "adding_raw_input_G8", "ood_objects"],
+)
+def test_bad_sites_and_tuple_values_are_config_errors(argv, capsys):
+    """A site the kind's model lacks, or that G does not divide, and a
+    non-integer tuple element are rejected before the run."""
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err

@@ -113,7 +113,7 @@ def test_warmup_vectors_must_be_positive(value):
     "data",
     [
         {"kind": "adding", "task": {"seq_len": 0}},
-        {"kind": "ablation", "task": {"test_gap": -1}},
+        {"kind": "adding", "task": {"test_gap": -1}},
         {"kind": "gridworld", "task": {"train_objects": 26}},
         {"kind": "gridworld", "task": {"ood_objects": "3,26"}},
         {"kind": "transformer-toy", "model": {"heads": 3}},
@@ -130,3 +130,26 @@ def test_task_sizes_checked_only_for_the_kinds_using_them():
     bad = {"task": {"seq_len": 0, "train_objects": 30}, "model": {"heads": 3}}
     for kind in ("bounds", "hoeffding", "gaussian-analysis"):
         config_from_dict({"kind": kind, **bad})
+
+
+@pytest.mark.parametrize(
+    "kind, site",
+    [
+        ("adding", "bogus"),
+        ("gridworld", "raw_input"),
+        ("gridworld", "recurrent_update"),
+        ("transformer-toy", "raw_input"),
+    ],
+)
+def test_site_checked_against_the_kind_architecture(kind, site):
+    with pytest.raises(ConfigError, match="invalid"):
+        config_from_dict({"kind": kind, "quantizer": {"site": site}})
+    config_from_dict({"kind": "bounds", "quantizer": {"site": site}})  # analysis kinds have no site
+
+
+@pytest.mark.parametrize(
+    "raw", ["a,b", "3,2.5", [2.7], [3, "x"]], ids=["letters", "float_text", "json_float", "json_text"]
+)
+def test_tuple_elements_must_be_integers(raw):
+    with pytest.raises(ConfigError, match="task.ood_objects"):
+        config_from_dict({"kind": "gridworld", "task": {"ood_objects": raw}})

@@ -115,10 +115,9 @@ def test_gnn_single_node_zero_message():
     model = GnnModel(rng, node_dim=3, action_dim=2, msg_dim=4)
     nodes = rng.normal(size=(2, 1, 3))
     actions = rng.normal(size=(2, 1, 2))
-    delta, qouts = gnn_step(Tensor(nodes), Tensor(actions), model)
+    delta = gnn_step(Tensor(nodes), Tensor(actions), model)
     expect = _mlp_eval(model.f_node, np.concatenate([nodes, actions, np.zeros((2, 1, 4))], axis=-1))
     assert np.max(np.abs(delta.data - expect)) < 1e-12
-    assert qouts == []
 
 
 def test_gnn_single_node_quantized_message_snaps_to_codes():
@@ -127,7 +126,8 @@ def test_gnn_single_node_quantized_message_snaps_to_codes():
     model = GnnModel(rng, node_dim=3, action_dim=2, msg_dim=4, quantizer=quantizer)
     nodes = rng.normal(size=(1, 1, 3))
     actions = rng.normal(size=(1, 1, 2))
-    delta, qouts = gnn_step(Tensor(nodes), Tensor(actions), model)
+    gnn_step(Tensor(nodes), Tensor(actions), model)
+    qouts = quantizer.take_outputs()
     assert len(qouts) == 1
     d2 = (quantizer.codebook.entries.data**2).sum(axis=1)
     nearest_zero = quantizer.codebook.entries.data[d2.argmin()]
@@ -142,7 +142,7 @@ def test_gnn_zero_node_function_leaves_bias_pattern():
         layer.weight.data[...] = 0.0
         layer.bias.data[...] = 0.0
     model.f_node.layers[-1].bias.data[...] = [0.5, -1.0, 2.0]
-    delta, _ = gnn_step(Tensor(rng.normal(size=(2, 3, 3))), Tensor(rng.normal(size=(2, 3, 2))), model)
+    delta = gnn_step(Tensor(rng.normal(size=(2, 3, 3))), Tensor(rng.normal(size=(2, 3, 2))), model)
     assert np.allclose(delta.data, [0.5, -1.0, 2.0], atol=1e-15)
 
 
@@ -151,7 +151,7 @@ def test_gnn_matches_direct_formula_oracle():
     model = GnnModel(rng, node_dim=4, action_dim=5, msg_dim=6, hidden=8)
     nodes = rng.normal(size=(3, 3, 4))
     actions = rng.normal(size=(3, 3, 5))
-    delta, _ = gnn_step(Tensor(nodes), Tensor(actions), model)
+    delta = gnn_step(Tensor(nodes), Tensor(actions), model)
     assert np.max(np.abs(delta.data - _gnn_reference(model, nodes, actions))) < 1e-12
 
 
@@ -161,7 +161,7 @@ def test_gnn_communication_input_site_quantizes_edges():
     model = GnnModel(rng, node_dim=4, action_dim=2, msg_dim=6, quantizer=quantizer, site="communication_input")
     nodes = rng.normal(size=(1, 3, 4))
     actions = rng.normal(size=(1, 3, 2))
-    delta, qouts = gnn_step(Tensor(nodes), Tensor(actions), model)
+    delta = gnn_step(Tensor(nodes), Tensor(actions), model)
     # oracle: quantize each edge message, then aggregate and run f_node
     entries = quantizer.codebook.entries.data
     B, N = 1, 3
@@ -178,7 +178,7 @@ def test_gnn_communication_input_site_quantizes_edges():
             agg += snapped
         expect[0, i] = _mlp_eval(model.f_node, np.concatenate([nodes[0, i], actions[0, i], agg]))
     assert np.max(np.abs(delta.data - expect)) < 1e-12
-    assert len(qouts) == 1
+    assert len(quantizer.take_outputs()) == 1
 
 
 def test_gnn_invalid_site_rejected():
@@ -194,8 +194,8 @@ def test_contrastive_loss_gradients_flow():
     nxt = rng.normal(size=(4, 3, 2))
     neg = rng.normal(size=(4, 3, 2))
     actions = rng.normal(size=(4, 3, 5))
-    loss, qouts = model.contrastive_loss(obs, actions, nxt, neg)
-    assert len(qouts) == 1
+    loss = model.contrastive_loss(obs, actions, nxt, neg)
+    assert len(quantizer.take_outputs()) == 1
     model.zero_grad()
     ad.backward(loss)
     # encoder and edge MLP sit upstream of the quantization site
@@ -226,8 +226,7 @@ def test_transformer_disabled_quantizer_is_vanilla():
     rng = np.random.default_rng(10)
     blocks = [TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, name=f"b{i}") for i in range(2)]
     x = rng.normal(size=(4, 8))
-    out, qouts = transformer_forward(Tensor(x), blocks, quantizer=None)
-    assert qouts == []
+    out = transformer_forward(Tensor(x), blocks, quantizer=None)
     assert np.max(np.abs(out.data - _transformer_reference(blocks, x))) < 1e-12
 
 
@@ -235,7 +234,7 @@ def test_transformer_two_blocks_matches_oracle():
     rng = np.random.default_rng(11)
     blocks = [TransformerBlock(rng, dim=8, heads=2, ff_hidden=12, name=f"b{i}") for i in range(2)]
     x = rng.normal(size=(4, 8))
-    out, _ = transformer_forward(Tensor(x), blocks)
+    out = transformer_forward(Tensor(x), blocks)
     assert np.max(np.abs(out.data - _transformer_reference(blocks, x))) < 1e-12
 
 
@@ -255,7 +254,8 @@ def test_transformer_fixed_point_quantization():
         ],
         axis=1,
     )
-    z, qout = quantizer.apply(Tensor(snapped))
+    z = quantizer.apply(Tensor(snapped))
+    [qout] = quantizer.take_outputs()
     assert np.array_equal(z.data, snapped)
     assert qout.codebook_loss.item() == 0.0
 
@@ -279,9 +279,9 @@ def test_transformer_classifier_discretizes_last_two_only():
     assert flags == [False, True, True]
     tokens = rng.integers(0, 5, size=(2, 6))
     marks = rng.integers(1, 6, size=2)
-    logits, qouts = model(tokens, marks)
+    logits = model(tokens, marks)
     assert logits.shape == (2, 5)
-    assert len(qouts) == 2
+    assert len(quantizer.take_outputs()) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +346,7 @@ def test_rim_matches_pseudocode_oracle():
     model.comm_value.weight.data[...] = rng.normal(size=(7, 7)) * 0.3
     state = rng.normal(size=(4, 3, 7))
     x = rng.normal(size=(4, 3))
-    out, _ = rim_step(Tensor(state), Tensor(x), model)
+    out = rim_step(Tensor(state), Tensor(x), model)
     expect, mask = _rim_reference(model, state, x)
     assert np.max(np.abs(out.data - expect)) < 1e-12
     assert mask.sum(axis=1).tolist() == [2.0] * 4
@@ -406,8 +406,8 @@ def test_rim_default_site_equals_communication_result():
     m2 = RimModel(rng2, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=q2, site="communication_result")
     state = np.random.default_rng(1).normal(size=(2, 3, 6))
     x = np.random.default_rng(2).normal(size=(2, 2))
-    out1, _ = rim_step(Tensor(state), Tensor(x), m1)
-    out2, _ = rim_step(Tensor(state), Tensor(x), m2)
+    out1 = rim_step(Tensor(state), Tensor(x), m1)
+    out2 = rim_step(Tensor(state), Tensor(x), m2)
     assert np.array_equal(out1.data, out2.data)
 
 
@@ -423,8 +423,8 @@ def test_rim_upstream_gradients_flow_through_quantizer():
     model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=3, quantizer=quantizer)
     regressor = RimRegressor(rng, model)
     inputs = rng.normal(size=(4, 5, 2))
-    pred, qouts = regressor(inputs)
-    assert qouts
+    pred = regressor(inputs)
+    assert len(quantizer.take_outputs()) == inputs.shape[1]
     loss = ad.tmean(ad.mul(pred, pred))
     regressor.zero_grad()
     ad.backward(loss)
@@ -440,7 +440,8 @@ def test_shared_codebook_identity_across_sites():
     assert model.quantizer is quantizer
     tokens = rng.integers(0, 4, size=(2, 5))
     marks = rng.integers(1, 5, size=2)
-    _, qouts = model(tokens, marks)
+    model(tokens, marks)
+    qouts = quantizer.take_outputs()
     assert len(qouts) == 2
     # both discretized blocks must have gone through the one shared codebook
     grads_before = quantizer.codebook.entries.grad

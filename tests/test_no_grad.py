@@ -19,29 +19,41 @@ def _active_quantizer(rng, L, G, m, method="vq"):
     return q
 
 
-def _outputs(result):
-    """Every tensor a forward returns, in order: the output, then each snap's z and losses."""
-    out, qouts = result if isinstance(result, tuple) else (result, [])
-    tensors = [out]
-    for q in qouts:
-        tensors += [q.z, q.codebook_loss, q.commitment_loss]
-    return tensors, [q.indices for q in qouts]
+def _outputs(forward, quantizer=None):
+    """Run ``forward``: the tensors it returns, then the tensor each snap of ``quantizer`` returned."""
+    snapped = []
+    if quantizer is not None:
+        apply = quantizer.apply
+
+        def recording(h):
+            snapped.append(apply(h))
+            return snapped[-1]
+
+        quantizer.apply = recording
+    try:
+        result = forward()
+    finally:
+        if quantizer is not None:
+            del quantizer.apply
+    return (list(result) if isinstance(result, (list, tuple)) else [result]) + snapped
 
 
-def _assert_same_forward(forward, params, reset=lambda: None):
+def _assert_same_forward(forward, params, quantizer=None, reset=lambda: None):
     reset()
-    plain, plain_idx = _outputs(forward())
+    plain = _outputs(forward, quantizer)
     assert any(t.requires_grad for t in plain)
+    if quantizer is not None:  # a forward on the tape keeps every snap's output
+        assert len(quantizer.take_outputs()) == len(plain) - 1
     reset()
     with ad.no_grad(params):
-        frozen, frozen_idx = _outputs(forward())
+        frozen = _outputs(forward, quantizer)
     assert len(frozen) == len(plain)
     for a, b in zip(plain, frozen):
         assert np.array_equal(a.data, b.data)
         assert not b.requires_grad
         assert b._parents == () and b._backward is None
-    for a, b in zip(plain_idx, frozen_idx):
-        assert np.array_equal(a, b)
+    if quantizer is not None:  # and a frozen one keeps none
+        assert quantizer.take_outputs() == []
     assert all(p.requires_grad for p in params)
 
 
@@ -57,7 +69,7 @@ def test_rim_regressor_forward_unchanged(method):
         quantizer.rng = np.random.default_rng(1)
 
     params = regressor.parameters() + [quantizer.codebook.entries]
-    _assert_same_forward(lambda: regressor(inputs), params, reset)
+    _assert_same_forward(lambda: regressor(inputs), params, quantizer, reset)
 
 
 def test_world_model_forwards_unchanged():
@@ -67,7 +79,7 @@ def test_world_model_forwards_unchanged():
     obs = rng.normal(size=(4, 3, 2))
     actions = np.eye(5)[rng.integers(0, 5, size=(4, 3))]
     params = model.parameters() + [quantizer.codebook.entries]
-    _assert_same_forward(lambda: model.predict_next(obs, actions), params)
+    _assert_same_forward(lambda: model.predict_next(obs, actions), params, quantizer)
     _assert_same_forward(lambda: model.encode(obs), params)
 
 
@@ -78,7 +90,7 @@ def test_transformer_forward_unchanged():
     tokens = rng.integers(0, 5, size=(4, 6))
     marks = rng.integers(1, 6, size=4)
     params = model.parameters() + [quantizer.codebook.entries]
-    _assert_same_forward(lambda: model(tokens, marks), params)
+    _assert_same_forward(lambda: model(tokens, marks), params, quantizer)
 
 
 def test_quantize_unchanged():
@@ -89,9 +101,24 @@ def test_quantize_unchanged():
 
     def forward():
         out = quantize(h, cfg, book)
-        return out.z, [out]
+        return out.z, out.codebook_loss, out.commitment_loss
 
     _assert_same_forward(forward, [h, book.entries])
+
+
+def test_quantizer_keeps_outputs_only_when_a_loss_is_on_the_tape():
+    rng = np.random.default_rng(6)
+    quantizer = _active_quantizer(rng, L=4, G=2, m=4)
+    h = rng.normal(size=(3, 2, 4))
+    with ad.no_grad([quantizer.codebook.entries]):
+        z = quantizer.apply(Tensor(h))
+        assert quantizer.take_outputs() == []
+        quantizer.apply(Parameter(h))  # the commitment loss still trains the sender
+        [kept] = quantizer.take_outputs()
+    assert np.array_equal(kept.z.data, z.data.reshape(6, 4)) and kept.indices.shape == (6, 2)
+    quantizer.apply(Tensor(h))  # the codebook loss trains the codes
+    assert len(quantizer.take_outputs()) == 1
+    assert quantizer.take_outputs() == []
 
 
 def test_flags_restored_after_normal_exit():
@@ -113,18 +140,17 @@ def test_flags_restored_after_exception():
     assert live.requires_grad and not frozen.requires_grad
 
 
-def _eval_peak_mb(steps: int) -> float:
-    """Traced peak of one evaluation of 128 sequences of ``steps`` steps.
-
-    The RIM is untrained and has no quantizer: with one, the snap outputs
-    the regressor returns (about 0.16 MB a step here) grow with T as well.
-    """
+def _eval_peak_mb(steps: int, quantized: bool = False) -> float:
+    """Traced peak of one evaluation of 128 sequences of ``steps`` steps by an
+    untrained RIM, with or without a quantizer whose codebook is seeded."""
     rng = np.random.default_rng(5)
-    regressor = RimRegressor(rng, RimModel(rng, input_dim=2, hidden=32, num_modules=4, k=2))
+    quantizer = _active_quantizer(rng, L=16, G=8, m=32) if quantized else None
+    regressor = RimRegressor(rng, RimModel(rng, input_dim=2, hidden=32, num_modules=4, k=2, quantizer=quantizer))
+    params = regressor.parameters() + ([quantizer.codebook.entries] if quantized else [])
     inputs, targets = rng.uniform(size=(128, steps, 2)), rng.uniform(size=(128, 1))
     tracemalloc.start()
     try:
-        with runner._evaluation(None, regressor.parameters()):
+        with runner._evaluation(quantizer, params):
             runner._eval_adding(regressor, inputs, targets)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
@@ -133,4 +159,11 @@ def _eval_peak_mb(steps: int) -> float:
 
 def test_evaluation_peak_flat_in_sequence_length():
     short, long = _eval_peak_mb(30), _eval_peak_mb(110)
+    assert long <= 1.5 * short, f"evaluation peak {short:.1f} MB at T=30 but {long:.1f} MB at T=110"
+
+
+def test_quantized_evaluation_peak_flat_in_sequence_length():
+    """A frozen forward keeps no snap output, so the quantized peak does not
+    grow with T either (keeping them cost about 0.16 MB a step here)."""
+    short, long = _eval_peak_mb(30, quantized=True), _eval_peak_mb(110, quantized=True)
     assert long <= 1.5 * short, f"evaluation peak {short:.1f} MB at T=30 but {long:.1f} MB at T=110"

@@ -18,6 +18,7 @@ from vqcomm.quantizer import (
     quantize,
     save_codebook,
     segment,
+    usage_counts,
 )
 
 from oracles import exhaustive_nearest
@@ -391,7 +392,7 @@ def test_stats_single_code_perplexity_one():
     book = _book([[0.0, 0.0], [9.0, 9.0]])
     cfg = QuantizerConfig(L=2, G=2, m=4)
     out = quantize(Tensor([0.1, 0.0, -0.1, 0.0]), cfg, book)
-    stats = codebook_stats([out], L=2)
+    stats = codebook_stats(usage_counts(out.indices, 2))
     assert stats.usage.tolist() == [2, 0]
     assert stats.perplexity == 1.0
 
@@ -400,7 +401,7 @@ def test_stats_uniform_usage_perplexity_L():
     book = _book([[-3.0], [0.0], [3.0]])
     cfg = QuantizerConfig(L=3, G=1, m=1)
     outs = [quantize(Tensor([v]), cfg, book) for v in (-3.0, 0.0, 3.0)]
-    stats = codebook_stats(outs, L=3)
+    stats = codebook_stats(sum(usage_counts(o.indices, 3) for o in outs))
     assert abs(stats.perplexity - 3.0) < 1e-12
 
 
@@ -408,13 +409,13 @@ def test_stats_three_one_split():
     book = _book([[-1.0], [1.0]])
     cfg = QuantizerConfig(L=2, G=1, m=1)
     outs = [quantize(Tensor([v]), cfg, book) for v in (-1.0, -1.0, -1.0, 1.0)]
-    stats = codebook_stats(outs, L=2)
+    stats = codebook_stats(sum(usage_counts(o.indices, 2) for o in outs))
     assert stats.usage.tolist() == [3, 1]
     assert abs(stats.perplexity - 1.7547653506033233) < 1e-12
 
 
 def test_stats_empty():
-    stats = codebook_stats([], L=4)
+    stats = codebook_stats(np.zeros(4, dtype=np.int64))
     assert stats.usage.tolist() == [0, 0, 0, 0]
     assert stats.perplexity == 1.0
 

@@ -161,18 +161,15 @@ def test_sweep_single_cell_equals_run():
     assert records[0].final == single.final
 
 
-@pytest.mark.parametrize(
-    "kind, site, expected",
-    [("adding", "raw_input", 8), ("ablation", "raw_input", 2), ("ablation", "recurrent_update", 8)],
-)
-def test_quantizer_dim_follows_the_site_only_in_ablation(kind, site, expected):
-    cfg = config_from_dict({**TINY_ADDING, "kind": kind, "quantizer": {**TINY_ADDING["quantizer"], "site": site}})
+@pytest.mark.parametrize("site, expected", [("raw_input", 2), ("recurrent_update", 8), ("communication_input", 8)])
+def test_quantizer_dim_follows_the_site(site, expected):
+    cfg = config_from_dict({**TINY_ADDING, "quantizer": {**TINY_ADDING["quantizer"], "site": site}})
     assert runner_module.quantizer_dim(cfg) == expected
 
 
 def test_sweep_quantizer_dim_matches_the_run():
-    """Kind adding quantizes the hidden state whatever quantizer.site says, so
-    G=4 divides its width (8) and the cell must run, not be skipped."""
+    """At quantizer.site=raw_input the adding RIM snaps its 2-wide input: the
+    sweep skips G=4, which does not divide it, and runs G=2."""
     base = config_from_dict(
         {
             **TINY_ADDING,
@@ -180,9 +177,9 @@ def test_sweep_quantizer_dim_matches_the_run():
             "quantizer": {**TINY_ADDING["quantizer"], "site": "raw_input"},
         }
     )
-    records, skipped, _ = sweep(base, L_values=[4], G_values=[4], seeds=[0])
-    assert not skipped
-    assert records[0].quantizer.config.m == 8
+    records, skipped, _ = sweep(base, L_values=[4], G_values=[2, 4], seeds=[0])
+    assert [s["G"] for s in skipped] == [4]
+    assert records[0].quantizer.config.m == 2
 
 
 def test_sweep_rejects_analysis_kinds():
@@ -198,13 +195,19 @@ def test_gumbel_method_runs():
     assert set(record.final) == {"in_dist", "ood_val", "ood_test"}
 
 
-def test_ablation_kind_honors_site():
-    cfg = config_from_dict(
-        {**TINY_ADDING, "kind": "ablation", "quantizer": {**TINY_ADDING["quantizer"], "site": "recurrent_update"}}
-    )
+def test_adding_kind_honors_site():
+    cfg = config_from_dict({**TINY_ADDING, "quantizer": {**TINY_ADDING["quantizer"], "site": "raw_input", "G": 2}})
     record = run(cfg)
-    assert record.config["quantizer"]["site"] == "recurrent_update"
+    assert record.config["quantizer"]["site"] == "raw_input"
+    assert record.quantizer.config.m == 2  # the snapped vectors are the (value, marker) inputs
     assert "ood_test" in record.final
+
+
+@pytest.mark.parametrize("method", ["vq", "gumbel"])
+def test_quantizer_holds_no_outputs_after_run(method):
+    """Training takes every batch's snaps and frozen evaluation forwards keep none."""
+    record = run(config_from_dict({**TINY_ADDING, "quantizer": {**TINY_ADDING["quantizer"], "method": method}}))
+    assert record.quantizer.take_outputs() == []
 
 
 def test_gridworld_runner_metrics():
