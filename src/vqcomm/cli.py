@@ -111,19 +111,17 @@ def cmd_gaussian(args) -> int:
     return 0
 
 
-def _load_codebook(path, fmt: str) -> tuple[Codebook, QuantizerConfig]:
+def _load_codebook(path) -> tuple[Codebook, QuantizerConfig]:
     """``load_codebook`` with a malformed file reported as a config error."""
     try:
-        return load_codebook(path, fmt=fmt)
+        return load_codebook(path)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
 
 def cmd_vector_field(args) -> int:
     if args.codebook:
-        book, _ = _load_codebook(args.codebook, args.format)
-        if book.d != 2:
-            raise ConfigError(f"vector-field needs 2-D codes, got d={book.d}")
+        book, _ = _load_codebook(args.codebook)
     else:
         rng = np.random.default_rng(args.seed)
         book = Codebook(args.L, 2, entries=rng.normal(size=(args.L, 2)), initialized=True)
@@ -138,7 +136,7 @@ def cmd_vector_field(args) -> int:
 
 
 def cmd_quantize(args) -> int:
-    book, cfg = _load_codebook(args.codebook, args.format)
+    book, cfg = _load_codebook(args.codebook)
     with ad.no_grad([book.entries]):
         for line in sys.stdin:
             line = line.strip().replace(",", " ")
@@ -210,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("vector-field", help="displacement field of 2-D snapping")
-    p.add_argument("--codebook", default=None, help="codebook file (see quantize)")
-    p.add_argument("--format", default="binary", choices=["binary", "json"])
+    p.add_argument("--codebook", default=None, help=".vqcb codebook file with 2-D codes")
     p.add_argument("--L", type=int, default=5, help="random codebook size when no file given")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--range", type=float, default=2.0)
@@ -220,8 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_vector_field)
 
     p = sub.add_parser("quantize", help="one-shot codebook lookup on stdin vectors")
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--format", default="binary", choices=["binary", "json"])
+    p.add_argument("--codebook", required=True, help=".vqcb codebook file, as written by run --out")
     p.set_defaults(fn=cmd_quantize)
 
     return parser

@@ -113,6 +113,12 @@ class TrainingSettings:
     optimizer: str = "adam"
     grad_clip: float = 0.0  # 0 disables clipping
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"training.batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ConfigError(f"training.epochs must not be negative, got {self.epochs}")
+
 
 @dataclass
 class ExperimentConfig:

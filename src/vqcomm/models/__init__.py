@@ -1,7 +1,7 @@
 from .attention import MultiHeadAttention, TransformerBlock, TransformerClassifier, transformer_forward
 from .common import CommunicationQuantizer, ConfigError, check_site
 from .gnn import ContrastiveWorldModel, GnnModel, gnn_step
-from .rim import RimModel, RimRegressor, rim_step, rim_step_detailed
+from .rim import RimModel, RimRegressor, rim_step
 
 __all__ = [
     "CommunicationQuantizer",
@@ -16,6 +16,5 @@ __all__ = [
     "check_site",
     "gnn_step",
     "rim_step",
-    "rim_step_detailed",
     "transformer_forward",
 ]

@@ -11,7 +11,6 @@ state update is stable over long rollouts and communication is learned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,16 +89,8 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-@dataclass
-class RimStepInfo:
-    new_state: Tensor
-    updated: Tensor  # per-module states after the recurrent update, before communication
-    active_mask: np.ndarray  # (B, M) 0/1
-    comm_weights: Tensor  # (B, M, M), rows sum to 1
-
-
-def rim_step_detailed(state: Tensor, x_t: Tensor, model: RimModel) -> RimStepInfo:
-    """One time step. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
+def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
+    """One time step; returns the new state. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
     x_t = snap_site(model.quantizer, model.site == "raw_input", x_t)
 
     scores = input_attention_scores(model, state, x_t)
@@ -123,11 +114,12 @@ def rim_step_detailed(state: Tensor, x_t: Tensor, model: RimModel) -> RimStepInf
     att = ad.softmax(logits)
     h = snap_site(model.quantizer, model.site == "communication_result", ad.matmul(att, v))  # (B, M, H)
 
-    return RimStepInfo(new_state=ad.add(updated, h), updated=updated, active_mask=mask, comm_weights=att)
+    return ad.add(updated, h)
 
 
-def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
-    return rim_step_detailed(state, x_t, model).new_state
+# perfbench/tracing.py wraps the RIM step by this name too; without it a
+# traced run raises AttributeError
+rim_step_detailed = rim_step
 
 
 class RimRegressor(Module):

@@ -27,10 +27,6 @@ class Module:
             out.extend(_collect(value))
         return out
 
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.zero_grad()
-
 
 def _collect(value) -> list[Parameter]:
     if isinstance(value, Parameter):

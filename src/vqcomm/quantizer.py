@@ -10,7 +10,6 @@ Code indices are 1-based (1..L) throughout the public surface.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass
 
@@ -44,7 +43,7 @@ class QuantizerConfig:
         if self.m < 1:
             raise ValueError(f"vector dimension must be positive, got {self.m}")
         if self.m % self.G != 0:
-            raise ShapeError(f"segment: {self.m} not divisible by {self.G}")
+            raise ShapeError(f"heads: {self.m} not divisible by {self.G}")
         if self.beta <= 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if self.codebook_loss_weight <= 0:
@@ -91,22 +90,12 @@ class QuantizationOutput:
     indices: np.ndarray  # 1-based, shape (G,) or (batch, G)
     codebook_loss: Tensor
     commitment_loss: Tensor
-    num_vectors: int = 1
 
 
 @dataclass
 class CodebookStats:
     usage: np.ndarray  # length L, counts per code
     perplexity: float
-
-
-def segment(h, G: int) -> list[Tensor]:
-    """Cut a vector (or batch of vectors) into G contiguous heads."""
-    h = ad.as_tensor(h)
-    m = h.shape[-1]
-    if m % G != 0:
-        raise ShapeError(f"segment: {m} not divisible by {G}")
-    return ad.split(h, G, axis=-1)
 
 
 def _require_finite(where: str, x: np.ndarray, entries: np.ndarray) -> None:
@@ -132,16 +121,6 @@ def code_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
 def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """0-based index of the nearest row of ``entries`` for each d-vector of ``x``; ties: lowest index."""
     return code_distances(x, entries).argmin(axis=-1)
-
-
-def nearest_code(s, codebook: Codebook) -> int:
-    """1-based index of the codebook row nearest to ``s`` (ties: lowest index)."""
-    if not codebook.initialized:
-        raise UninitializedCodebook("codebook must be initialized before lookup")
-    s = np.asarray(s, dtype=np.float64)
-    if s.shape != (codebook.d,):
-        raise ShapeError(f"nearest_code: expected shape {(codebook.d,)}, got {s.shape}")
-    return int(nearest_indices(s, codebook.entries.data)) + 1
 
 
 def _check_input(h, config: QuantizerConfig, codebook: Codebook) -> Tensor:
@@ -183,7 +162,6 @@ def _snap_output(h: Tensor, z: Tensor, idx0: np.ndarray, config: QuantizerConfig
         indices=indices[0] if h.ndim == 1 else indices,
         codebook_loss=ad._node(value, (entries,), codebook_backward),
         commitment_loss=ad._node(value, (h,), commitment_backward),
-        num_vectors=batch,
     )
 
 
@@ -318,77 +296,44 @@ def kmeans_init(samples: np.ndarray, L: int, iters: int = 25, seed: int | np.ran
     return Codebook(L, samples.shape[1], entries=centroids, initialized=True)
 
 
-def inertia(samples: np.ndarray, centroids: np.ndarray) -> float:
-    return float(code_distances(samples, centroids).min(axis=1).sum())
-
-
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
 
-def save_codebook(path, codebook: Codebook, config: QuantizerConfig, fmt: str = "binary") -> None:
-    """Write codebook entries plus the quantizer header; binary form is bit-exact."""
-    if fmt == "binary":
-        header = struct.pack(
-            "<4sIIIIdd",
-            BINARY_MAGIC,
-            BINARY_VERSION,
-            config.L,
-            config.G,
-            config.m,
-            config.beta,
-            config.codebook_loss_weight,
-        )
-        with open(path, "wb") as f:
-            f.write(header)
-            f.write(np.ascontiguousarray(codebook.entries.data).tobytes())
-    elif fmt == "json":
-        payload = {
-            "version": BINARY_VERSION,
-            "L": config.L,
-            "G": config.G,
-            "m": config.m,
-            "beta": config.beta,
-            "codebook_loss_weight": config.codebook_loss_weight,
-            "entries": codebook.entries.data.tolist(),
-        }
-        with open(path, "w") as f:
-            json.dump(payload, f)
-    else:
-        raise ValueError(f"unknown codebook format {fmt!r}")
+def save_codebook(path, codebook: Codebook, config: QuantizerConfig) -> None:
+    """Write the quantizer header and the codebook entries; the file is bit-exact."""
+    header = struct.pack(
+        "<4sIIIIdd",
+        BINARY_MAGIC,
+        BINARY_VERSION,
+        config.L,
+        config.G,
+        config.m,
+        config.beta,
+        config.codebook_loss_weight,
+    )
+    with open(path, "wb") as f:
+        f.write(header)
+        f.write(np.ascontiguousarray(codebook.entries.data).tobytes())
 
 
-def load_codebook(path, fmt: str = "binary") -> tuple[Codebook, QuantizerConfig]:
-    if fmt == "binary":
-        with open(path, "rb") as f:
-            raw = f.read()
-        head_size = struct.calcsize("<4sIIIIdd")
-        if len(raw) < head_size:
-            raise ValueError(f"{path}: truncated codebook file ({len(raw)} bytes, header needs {head_size})")
-        magic, version, L, G, m, beta, weight = struct.unpack("<4sIIIIdd", raw[:head_size])
-        if magic != BINARY_MAGIC:
-            raise ValueError(f"{path}: not a codebook file (magic {magic!r})")
-        if version != BINARY_VERSION:
-            raise ValueError(f"{path}: unsupported codebook version {version}")
-        config = QuantizerConfig(L=L, G=G, m=m, beta=beta, codebook_loss_weight=weight)
-        payload = L * config.d * 8
-        if len(raw) - head_size != payload:
-            raise ValueError(
-                f"{path}: codebook payload is {len(raw) - head_size} bytes, header L={L}, d={config.d} needs {payload}"
-            )
-        entries = np.frombuffer(raw[head_size:], dtype=np.float64).reshape(L, config.d).copy()
-    elif fmt == "json":
-        with open(path) as f:
-            payload = json.load(f)
-        config = QuantizerConfig(
-            L=payload["L"],
-            G=payload["G"],
-            m=payload["m"],
-            beta=payload["beta"],
-            codebook_loss_weight=payload["codebook_loss_weight"],
+def load_codebook(path) -> tuple[Codebook, QuantizerConfig]:
+    with open(path, "rb") as f:
+        raw = f.read()
+    head_size = struct.calcsize("<4sIIIIdd")
+    if len(raw) < head_size:
+        raise ValueError(f"{path}: truncated codebook file ({len(raw)} bytes, header needs {head_size})")
+    magic, version, L, G, m, beta, weight = struct.unpack("<4sIIIIdd", raw[:head_size])
+    if magic != BINARY_MAGIC:
+        raise ValueError(f"{path}: not a codebook file (magic {magic!r})")
+    if version != BINARY_VERSION:
+        raise ValueError(f"{path}: unsupported codebook version {version}")
+    config = QuantizerConfig(L=L, G=G, m=m, beta=beta, codebook_loss_weight=weight)
+    payload = L * config.d * 8
+    if len(raw) - head_size != payload:
+        raise ValueError(
+            f"{path}: codebook payload is {len(raw) - head_size} bytes, header L={L}, d={config.d} needs {payload}"
         )
-        entries = np.asarray(payload["entries"], dtype=np.float64)
-    else:
-        raise ValueError(f"unknown codebook format {fmt!r}")
+    entries = np.frombuffer(raw[head_size:], dtype=np.float64).reshape(L, config.d).copy()
     return Codebook(config.L, config.d, entries=entries, initialized=True), config

@@ -277,8 +277,7 @@ def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn
                 cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
             if not np.isfinite(loss.data):
                 raise FloatingPointError(f"non-finite training loss {loss.item()} at epoch {epoch}, batch {i}")
-            for p in params:
-                p.zero_grad()
+            opt.zero_grad()
             ad.backward(loss)
             fill_missing_grads(params)
             if config.training.grad_clip > 0:

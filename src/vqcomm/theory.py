@@ -23,6 +23,7 @@ from .quantizer import Codebook, QuantizerConfig, combined_aux_loss, kmeans_init
 from .seeding import keyed_rng
 
 _MAX_ENUMERABLE_CELLS = 4096
+_REF_MULTIPLIER = 100
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
@@ -121,22 +122,13 @@ def _cell_ids(samples: np.ndarray, entries: np.ndarray, L: int, G: int) -> np.nd
     return idx @ weights
 
 
-def verify_hoeffding(
-    L: int,
-    G: int,
-    d: int,
-    n: int,
-    delta: float,
-    trials: int,
-    seed: int,
-    input_std: float = 1.0,
-    ref_multiplier: int = 100,
-) -> TrialRecord:
+def verify_hoeffding(L: int, G: int, d: int, n: int, delta: float, trials: int, seed: int) -> TrialRecord:
     """Check the max-cell deviation bound empirically over fresh samples.
 
-    Fixes a random codebook and a Gaussian input distribution, estimates
-    reference cell probabilities from ``ref_multiplier * n`` draws, then per
-    trial compares fresh empirical frequencies against the closed-form bound.
+    Fixes a random codebook and a standard Gaussian input distribution,
+    estimates reference cell probabilities from ``_REF_MULTIPLIER * n``
+    draws, then per trial compares fresh empirical frequencies against the
+    closed-form bound.
     """
     cells = L**G
     if cells > _MAX_ENUMERABLE_CELLS:
@@ -145,13 +137,13 @@ def verify_hoeffding(
     entries = rng.normal(size=(L, d))
     m = G * d
 
-    ref = rng.normal(scale=input_std, size=(ref_multiplier * n, m)) if input_std > 0 else np.zeros((ref_multiplier * n, m))
-    p_ref = np.bincount(_cell_ids(ref, entries, L, G), minlength=cells) / (ref_multiplier * n)
+    ref = rng.normal(size=(_REF_MULTIPLIER * n, m))
+    p_ref = np.bincount(_cell_ids(ref, entries, L, G), minlength=cells) / (_REF_MULTIPLIER * n)
 
     bound = bound_with_discretization(BoundInputs(G=G, L=L, n=n, delta=delta, alpha=1.0))
     gaps = np.zeros(trials)
     for t in range(trials):
-        draw = rng.normal(scale=input_std, size=(n, m)) if input_std > 0 else np.zeros((n, m))
+        draw = rng.normal(size=(n, m))
         p_hat = np.bincount(_cell_ids(draw, entries, L, G), minlength=cells) / n
         gaps[t] = np.abs(p_ref - p_hat).max()
     violated = gaps > bound
@@ -227,7 +219,7 @@ def _total_variance(q: np.ndarray) -> float:
 def vector_field(grid_range: float, grid_steps: int, codebook: Codebook) -> list[dict]:
     """Displacement q(h) - h on a square grid for a 2-D codebook (G = 1)."""
     if codebook.d != 2:
-        raise ValueError(f"vector_field needs 2-D codes, got d = {codebook.d}")
+        raise ConfigError(f"vector-field needs 2-D codes, got d = {codebook.d}")
     axis = np.linspace(-grid_range, grid_range, grid_steps)
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     codes = nearest_indices(points, codebook.entries.data)

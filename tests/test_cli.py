@@ -1,5 +1,8 @@
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +14,18 @@ from vqcomm.config import config_from_dict, parse_assignments
 from vqcomm.quantizer import Codebook, QuantizerConfig, load_codebook, nearest_indices, save_codebook
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def _run(argv, stdin_text=None):
+    # the child does not inherit this process's sys.path, so it gets src explicitly
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "vqcomm.cli", *argv],
         input=stdin_text,
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -163,6 +172,22 @@ def test_truncated_codebook_is_config_error(tmp_path, capsys):
     assert str(path) in capsys.readouterr().err
 
 
+def test_json_codebook_is_config_error(tmp_path, capsys):
+    # codebook files are binary .vqcb only; a JSON one fails the magic check
+    path = tmp_path / "book.json"
+    path.write_text(json.dumps({"version": 1, "L": 3, "G": 2, "m": 4, "beta": 0.25, "codebook_loss_weight": 1.0,
+                                "entries": np.zeros((3, 2)).tolist()}))
+    assert main(["quantize", "--codebook", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_vector_field_needs_2d_codebook(tmp_path, capsys):
+    path = tmp_path / "book.vqcb"
+    save_codebook(path, Codebook(3, 3, entries=np.eye(3), initialized=True), QuantizerConfig(L=3, G=1, m=3))
+    assert main(["vector-field", "--codebook", str(path)]) == 2
+    assert "2-D" in capsys.readouterr().err
+
+
 def test_warmup_vectors_zero_is_config_error():
     assert main(["run", "adding", "--set", "quantizer.discretize=true", "--set", "quantizer.warmup_vectors=0"]) == 2
 
@@ -194,6 +219,14 @@ _TINY_ADDING_FLAGS = [
                        ("training.epochs", 1), ("training.batch_size", 6), ("model.hidden", 8), ("model.modules", 2),
                        ("model.k", 1)]
 ]
+
+
+@pytest.mark.parametrize("setting", ["training.batch_size=0", "training.epochs=-1"])
+def test_bad_training_sizes_are_config_errors(tmp_path, capsys, setting):
+    out = tmp_path / "toy"
+    assert main(["run", "adding", *_TINY_ADDING_FLAGS, "--set", setting, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "toy.json").exists()
 
 
 def test_shape_error_during_run_is_runtime_failure(monkeypatch, capsys):

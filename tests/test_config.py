@@ -110,6 +110,22 @@ def test_warmup_vectors_must_be_positive(value):
 
 
 @pytest.mark.parametrize(
+    "training, field",
+    [({"batch_size": 0}, "batch_size"), ({"batch_size": -3}, "batch_size"), ({"epochs": -1}, "epochs")],
+    ids=["zero_batch", "negative_batch", "negative_epochs"],
+)
+def test_training_sizes_rejected_up_front(training, field):
+    # a zero batch size forms no batches; negative epochs would train nothing and still write a record
+    with pytest.raises(ConfigError, match=f"training.{field}"):
+        config_from_dict({"training": training})
+
+
+def test_zero_epochs_and_unit_batch_are_valid():
+    cfg = config_from_dict({"training": {"epochs": 0, "batch_size": 1}})
+    assert (cfg.training.epochs, cfg.training.batch_size) == (0, 1)
+
+
+@pytest.mark.parametrize(
     "data",
     [
         {"kind": "adding", "task": {"seq_len": 0}},

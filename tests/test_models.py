@@ -17,9 +17,9 @@ from vqcomm.models import (
     TransformerClassifier,
     gnn_step,
     rim_step,
-    rim_step_detailed,
     transformer_forward,
 )
+from vqcomm.models.rim import input_attention_scores, top_k_mask
 from vqcomm.quantizer import QuantizerConfig
 
 from oracles import attention_reference
@@ -196,7 +196,8 @@ def test_contrastive_loss_gradients_flow():
     actions = rng.normal(size=(4, 3, 5))
     loss = model.contrastive_loss(obs, actions, nxt, neg)
     assert len(quantizer.take_outputs()) == 1
-    model.zero_grad()
+    for p in model.parameters():
+        p.zero_grad()
     ad.backward(loss)
     # encoder and edge MLP sit upstream of the quantization site
     assert any(np.any(p.grad != 0) for p in model.encoder.parameters() if p.grad is not None)
@@ -333,11 +334,15 @@ def _rim_reference(model, state, x):
     return hatz + h, mask
 
 
+def _active_mask(model, state, x):
+    return top_k_mask(input_attention_scores(model, Tensor(state), Tensor(x)), model.k)
+
+
 def test_rim_all_modules_active_when_k_equals_M():
     rng = np.random.default_rng(15)
     model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=3)
-    info = rim_step_detailed(model.init_state(4), Tensor(rng.normal(size=(4, 2))), model)
-    assert np.array_equal(info.active_mask, np.ones((4, 3)))
+    mask = _active_mask(model, np.zeros((4, 3, 6)), rng.normal(size=(4, 2)))
+    assert np.array_equal(mask, np.ones((4, 3)))
 
 
 def test_rim_matches_pseudocode_oracle():
@@ -361,18 +366,32 @@ def test_rim_inactive_state_preserved_bit_exact():
     rng = np.random.default_rng(18)
     model = RimModel(rng, input_dim=2, hidden=6, num_modules=4, k=2)
     state = rng.normal(size=(3, 4, 6))
-    info = rim_step_detailed(Tensor(state), Tensor(rng.normal(size=(3, 2))), model)
+    x = rng.normal(size=(3, 2))
+    # the communication value projection starts at zero, so the new state
+    # is the state after the recurrent update, bit for bit
+    new = rim_step(Tensor(state), Tensor(x), model)
+    mask = _active_mask(model, state, x)
     for b in range(3):
         for i in range(4):
-            if info.active_mask[b, i] == 0.0:
-                assert np.array_equal(info.updated.data[b, i], state[b, i])
+            if mask[b, i] == 0.0:
+                assert np.array_equal(new.data[b, i], state[b, i])
 
 
-def test_rim_communication_rows_sum_to_one():
+def test_rim_communication_rows_sum_to_one(monkeypatch):
     rng = np.random.default_rng(19)
     model = RimModel(rng, input_dim=2, hidden=6, num_modules=4, k=2)
-    info = rim_step_detailed(model.init_state(5), Tensor(rng.normal(size=(5, 2))), model)
-    assert np.max(np.abs(info.comm_weights.data.sum(axis=-1) - 1.0)) < 1e-12
+    weights = []
+    softmax = ad.softmax
+
+    def recording_softmax(x):
+        weights.append(softmax(x))
+        return weights[-1]
+
+    # the communication attention is the step's one softmax on the tape
+    monkeypatch.setattr(ad, "softmax", recording_softmax)
+    rim_step(model.init_state(5), Tensor(rng.normal(size=(5, 2))), model)
+    assert len(weights) == 1 and weights[0].shape == (5, 4, 4)
+    assert np.max(np.abs(weights[0].data.sum(axis=-1) - 1.0)) < 1e-12
 
 
 def test_rim_recurrent_update_site_matches_variant_oracle():
@@ -381,20 +400,22 @@ def test_rim_recurrent_update_site_matches_variant_oracle():
     model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=quantizer, site="recurrent_update")
     state = rng.normal(size=(2, 3, 6)) * 0.3
     x = rng.normal(size=(2, 2))
-    info = rim_step_detailed(Tensor(state), Tensor(x), model)
+    # zero communication values: the new state is the updated state
+    new = rim_step(Tensor(state), Tensor(x), model)
+    mask = _active_mask(model, state, x)
     entries = quantizer.codebook.entries.data
     # variant oracle: active modules move by the quantized update delta
     for b in range(2):
         for i in range(3):
-            if info.active_mask[b, i] == 1.0:
+            if mask[b, i] == 1.0:
                 cand = _gru_eval(model, i, state[b : b + 1, i], x[b : b + 1])[0]
                 delta = cand - state[b, i]
                 snapped = np.concatenate(
                     [entries[((entries - delta[h * 3 : (h + 1) * 3]) ** 2).sum(1).argmin()] for h in range(2)]
                 )
-                assert np.array_equal(info.updated.data[b, i], state[b, i] + snapped)
+                assert np.array_equal(new.data[b, i], state[b, i] + snapped)
             else:
-                assert np.array_equal(info.updated.data[b, i], state[b, i])
+                assert np.array_equal(new.data[b, i], state[b, i])
 
 
 def test_rim_default_site_equals_communication_result():
@@ -426,7 +447,8 @@ def test_rim_upstream_gradients_flow_through_quantizer():
     pred = regressor(inputs)
     assert len(quantizer.take_outputs()) == inputs.shape[1]
     loss = ad.tmean(ad.mul(pred, pred))
-    regressor.zero_grad()
+    for p in regressor.parameters():
+        p.zero_grad()
     ad.backward(loss)
     assert any(p.grad is not None and np.any(p.grad != 0) for p in model.comm_value.parameters())
     assert any(p.grad is not None and np.any(p.grad != 0) for p in model.gru.parameters())

@@ -13,11 +13,11 @@ from vqcomm.quantizer import (
     combined_aux_loss,
     gumbel_quantize,
     kmeans_init,
+    code_distances,
     load_codebook,
-    nearest_code,
+    nearest_indices,
     quantize,
     save_codebook,
-    segment,
     usage_counts,
 )
 
@@ -35,61 +35,59 @@ WORKED_CFG = QuantizerConfig(L=4, G=2, m=4, beta=0.25, codebook_loss_weight=1.0)
 
 
 # ---------------------------------------------------------------------------
-# segmentation
+# segmentation: a length-m vector is cut into G contiguous heads of m/G
 # ---------------------------------------------------------------------------
 
 
 def test_segment_contiguous_split():
-    parts = segment(Tensor([1.0, 2.0, 3.0, 4.0]), 2)
-    assert [p.data.tolist() for p in parts] == [[1.0, 2.0], [3.0, 4.0]]
+    out = quantize(Tensor([1.0, 2.0, 3.0, 4.0]), QuantizerConfig(L=2, G=2, m=4), _book([[3.0, 4.0], [1.0, 2.0]]))
+    assert out.indices.tolist() == [2, 1]
 
 
 def test_segment_identity():
-    parts = segment(Tensor([1.0, 2.0, 3.0, 4.0]), 1)
-    assert parts[0].data.tolist() == [1.0, 2.0, 3.0, 4.0]
+    out = quantize(Tensor([1.0, 2.0, 3.0, 4.0]), QuantizerConfig(L=1, G=1, m=4), _book([[1.0, 2.0, 3.0, 4.0]]))
+    assert out.indices.tolist() == [1]
 
 
 def test_segment_indivisible_reports_both_values():
     with pytest.raises(ShapeError, match="3 not divisible by 2"):
-        segment(Tensor([1.0, 2.0, 3.0]), 2)
+        QuantizerConfig(L=4, G=2, m=3)
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.integers(0, 2**32 - 1))
 @settings(max_examples=50, deadline=None)
 def test_segment_concat_roundtrip(G, d, seed):
+    # a codebook made of h's own heads snaps every head onto itself
     h = np.random.default_rng(seed).normal(size=G * d)
-    parts = segment(Tensor(h), G)
-    back = ad.concat(parts, axis=-1)
-    assert np.array_equal(back.data, h)
+    out = quantize(Tensor(h), QuantizerConfig(L=G, G=G, m=G * d), _book(h.reshape(G, d)))
+    assert np.array_equal(out.z.data, h)
+    assert out.indices.tolist() == list(range(1, G + 1))
 
 
 # ---------------------------------------------------------------------------
-# nearest-neighbor lookup
+# nearest-neighbor lookup (nearest_indices is 0-based, exhaustive_nearest 1-based)
 # ---------------------------------------------------------------------------
 
 
 def test_nearest_code_exact_row():
-    book = _book(WORKED_ROWS)
-    assert nearest_code(np.array([-1.0, 0.0]), book) == 3
+    assert nearest_indices(np.array([-1.0, 0.0]), np.array(WORKED_ROWS)) == 2
 
 
 def test_nearest_code_tie_breaks_low():
-    book = _book([[0.5, 0.5], [0.5, 0.5], [9.0, 9.0]])
-    assert nearest_code(np.array([0.5, 0.4]), book) == 1
+    rows = np.array([[0.5, 0.5], [0.5, 0.5], [9.0, 9.0]])
+    assert nearest_indices(np.array([0.5, 0.4]), rows) == 0
 
 
 def test_nearest_code_matches_exhaustive_oracle():
     rng = np.random.default_rng(42)
     for _ in range(1000):
-        book = _book(rng.normal(size=(4, 2)))
+        rows = rng.normal(size=(4, 2))
         s = rng.normal(size=2)
-        assert nearest_code(s, book) == exhaustive_nearest(s, book.entries.data)
+        assert nearest_indices(s, rows) + 1 == exhaustive_nearest(s, rows)
 
 
 def test_uninitialized_codebook_rejected():
     book = Codebook(4, 2)
-    with pytest.raises(UninitializedCodebook):
-        nearest_code(np.zeros(2), book)
     with pytest.raises(UninitializedCodebook):
         quantize(Tensor(np.zeros(4)), WORKED_CFG, book)
 
@@ -295,12 +293,12 @@ def test_kmeans_matches_loop_reference():
 
 
 def test_kmeans_inertia_non_increasing():
-    from vqcomm.quantizer import inertia, lloyd
+    from vqcomm.quantizer import lloyd
 
     rng_samples = np.random.default_rng(21)
     samples = rng_samples.normal(size=(60, 2))
     vals = [
-        inertia(samples, lloyd(samples, 6, iters=k, rng=np.random.default_rng(5)))
+        code_distances(samples, lloyd(samples, 6, iters=k, rng=np.random.default_rng(5))).min(1).sum()
         for k in range(1, 10)
     ]
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
@@ -430,33 +428,22 @@ def test_codebook_binary_roundtrip_bit_exact(tmp_path):
     cfg = QuantizerConfig(L=6, G=2, m=6, beta=0.25, codebook_loss_weight=0.75)
     book = _book(rng.normal(size=(6, 3)))
     path = tmp_path / "book.vqcb"
-    save_codebook(path, book, cfg, fmt="binary")
-    loaded, loaded_cfg = load_codebook(path, fmt="binary")
+    save_codebook(path, book, cfg)
+    loaded, loaded_cfg = load_codebook(path)
     assert np.array_equal(loaded.entries.data, book.entries.data)
     assert loaded_cfg == cfg
     assert loaded.initialized
-
-
-def test_codebook_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(37)
-    cfg = QuantizerConfig(L=3, G=1, m=2)
-    book = _book(rng.normal(size=(3, 2)))
-    path = tmp_path / "book.json"
-    save_codebook(path, book, cfg, fmt="json")
-    loaded, loaded_cfg = load_codebook(path, fmt="json")
-    assert np.array_equal(loaded.entries.data, book.entries.data)
-    assert loaded_cfg == cfg
 
 
 @pytest.mark.parametrize("cut", ["header", "payload"])
 def test_truncated_codebook_file_names_the_file(tmp_path, cut):
     cfg = QuantizerConfig(L=4, G=2, m=4)
     path = tmp_path / "book.vqcb"
-    save_codebook(path, _book(WORKED_ROWS), cfg, fmt="binary")
+    save_codebook(path, _book(WORKED_ROWS), cfg)
     raw = path.read_bytes()
     path.write_bytes(raw[:10] if cut == "header" else raw[:-8])
     with pytest.raises(ValueError, match="book.vqcb"):
-        load_codebook(path, fmt="binary")
+        load_codebook(path)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +462,7 @@ def test_non_finite_vector_is_not_snapped(bad):
     with pytest.raises(FloatingPointError):
         gumbel_quantize(Tensor(h), WORKED_CFG, book, temperature=1.0, noise=0.0, hard=True)
     with pytest.raises(FloatingPointError):
-        nearest_code(h[:2], book)
+        nearest_indices(h[:2], book.entries.data)
 
 
 def test_non_finite_codebook_is_rejected():

@@ -151,12 +151,6 @@ def test_bound_inputs_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_hoeffding_point_mass_never_violates():
-    rec = verify_hoeffding(L=4, G=2, d=2, n=200, delta=0.05, trials=20, seed=3, input_std=0.0)
-    assert rec.gaps.max() == 0.0
-    assert rec.violation_rate == 0.0
-
-
 def test_hoeffding_violation_rate_within_binomial_slack():
     rec = verify_hoeffding(L=4, G=2, d=2, n=2000, delta=0.05, trials=200, seed=7)
     cap = 0.05 + 3 * math.sqrt(0.05 * 0.95 / 200)
