@@ -360,12 +360,17 @@ def sigmoid(x) -> Tensor:
     return _node(data, (x,), backward)
 
 
+def softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Softmax of an array over its last axis (max-shifted for stability)."""
+    shifted = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def softmax(x) -> Tensor:
     """Softmax over the last axis (max-shifted for stability)."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = softmax_rows(x.data)
 
     def backward(g):
         if x.requires_grad:

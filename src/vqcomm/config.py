@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .models.common import ConfigError, check_site
@@ -118,6 +119,10 @@ class TrainingSettings:
             raise ConfigError(f"training.batch_size must be at least 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"training.epochs must not be negative, got {self.epochs}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ConfigError(f"training.lr must be a positive finite number, got {self.lr}")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ConfigError(f"training.grad_clip must be finite and >= 0 (0: no clipping), got {self.grad_clip}")
 
 
 @dataclass
@@ -144,7 +149,13 @@ class ExperimentConfig:
 def _check_task_sizes(config: ExperimentConfig) -> None:
     """Reject, before the run, the sizes the kind's generators and model would refuse."""
     t, m = config.task, config.model
+    if config.kind in ("adding", "transformer-toy"):
+        for key in ("train_count", "eval_count"):
+            if getattr(t, key) < 1:
+                raise ConfigError(f"task.{key} must be at least 1, got {getattr(t, key)}")
     if config.kind == "adding":
+        if m.att_dim < 1:
+            raise ConfigError(f"model.att_dim must be at least 1, got {m.att_dim}")
         if t.seq_len < 1:
             raise ConfigError(f"task.seq_len must be positive, got {t.seq_len}")
         for key in ("train_gap", "val_gap", "test_gap"):

@@ -6,7 +6,6 @@ import logging
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..autodiff import Tensor
 from ..quantizer import (
     Codebook,
@@ -78,25 +77,22 @@ class CommunicationQuantizer:
 
     def apply(self, h: Tensor) -> Tensor:
         """Snap (or, while collecting, pass through) a tensor of shape (..., m)."""
-        flat = h if h.ndim == 2 else ad.reshape(h, (-1, h.shape[-1]))
         if not self.active:
             # keep only the freshest warmup vectors: early ones come from a
             # barely-trained sender and would seed k-means poorly
-            rows = flat.data.reshape(-1, self.config.d)
+            rows = h.data.reshape(-1, self.config.d)
             self._reservoir = np.concatenate([self._reservoir, rows])[-self.warmup_vectors :]
             self._collected_count += rows.shape[0]
-            z = flat
+            return h
+        if self.method == "vq":
+            out = quantize(h, self.config, self.codebook)
+        elif self.hard:  # gumbel at evaluation: deterministic argmax, no sampling
+            out = gumbel_quantize(h, self.config, self.codebook, self.temperature, noise=0.0, hard=True)
         else:
-            if self.method == "vq":
-                out = quantize(flat, self.config, self.codebook)
-            elif self.hard:  # gumbel at evaluation: deterministic argmax, no sampling
-                out = gumbel_quantize(flat, self.config, self.codebook, self.temperature, noise=0.0, hard=True)
-            else:
-                out = gumbel_quantize(flat, self.config, self.codebook, self.temperature, rng=self.rng)
-            if out.codebook_loss.requires_grad or out.commitment_loss.requires_grad:
-                self._outputs.append(out)  # a frozen forward keeps nothing
-            z = out.z
-        return z if h.ndim == 2 else ad.reshape(z, h.shape)
+            out = gumbel_quantize(h, self.config, self.codebook, self.temperature, rng=self.rng)
+        if out.codebook_loss.requires_grad or out.commitment_loss.requires_grad:
+            self._outputs.append(out)  # a frozen forward keeps nothing
+        return out.z
 
     def take_outputs(self) -> list[QuantizationOutput]:
         """The kept snap outputs in snap order; the quantizer forgets them."""

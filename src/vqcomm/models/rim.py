@@ -89,6 +89,55 @@ def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
+def _blend(mask: np.ndarray, cand: Tensor, state: Tensor) -> Tensor:
+    """``on * cand + off * state`` as one tape node: modules with mask 1 take
+    their candidate, the others keep their state."""
+    on = mask[:, :, None]
+    off = 1.0 - on
+    out = on * cand.data + off * state.data
+
+    def backward(g):
+        if cand.requires_grad:
+            ad._accum(cand, g * on)
+        if state.requires_grad:
+            ad._accum(state, g * off)
+
+    return ad._node(out, (cand, state), backward)
+
+
+def _communicate(model: RimModel, updated: Tensor, source: Tensor) -> Tensor:
+    """Query-key-value attention among the modules as one tape node.
+
+    Queries read ``updated``; keys and values read ``source``, which is
+    ``updated`` unless the communication input is quantized. The backward
+    repeats the float order of the composite graph (three projections, the
+    key transpose, the scaled scores, the softmax and ``att @ v``) and
+    accumulates into the inputs in query, key, value order, so both forms
+    give bit-identical gradients.
+    """
+    w_q, w_k, w_v = model.comm_query.weight, model.comm_key.weight, model.comm_value.weight
+    c = 1.0 / math.sqrt(model.att_dim)
+    q = updated.data @ w_q.data
+    k = source.data @ w_k.data
+    v = source.data @ w_v.data
+    att = ad.softmax_rows((q @ np.swapaxes(k, -1, -2)) * c)  # (B, M, M)
+
+    def backward(g):
+        d_att = g @ np.swapaxes(v, -1, -2)
+        d_v = np.swapaxes(att, -1, -2) @ g
+        d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True)) * c
+        d_q = d_scores @ k
+        d_k = np.swapaxes(np.swapaxes(q, -1, -2) @ d_scores, -1, -2)
+        for x, w, dy in ((updated, w_q, d_q), (source, w_k, d_k), (source, w_v, d_v)):
+            if x.requires_grad:
+                ad._accum(x, ad._unbroadcast(dy @ np.swapaxes(w.data, -1, -2), x.shape))
+            if w.requires_grad:
+                ad._accum(w, ad._unbroadcast(np.swapaxes(x.data, -1, -2) @ dy, w.shape))
+
+    parents = (updated, w_q, w_k, w_v) if source is updated else (updated, source, w_q, w_k, w_v)
+    return ad._node(att @ v, parents, backward)
+
+
 def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
     """One time step; returns the new state. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
     x_t = snap_site(model.quantizer, model.site == "raw_input", x_t)
@@ -97,23 +146,14 @@ def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
     mask = top_k_mask(scores, model.k)  # (B, M)
 
     # recurrent candidates for all modules at once; inactive rows keep state
-    state_mfirst = ad.transpose(state, 0, 1)  # (M, B, H)
-    cand = ad.transpose(model.gru(state_mfirst, x_t), 0, 1)  # (B, M, H)
+    cand = model.gru(state, x_t)  # (B, M, H)
     if model.quantizer is not None and model.site == "recurrent_update":
         # not snap_site: the sub and add around the snap must not run when the site is off
         cand = ad.add(state, model.quantizer.apply(ad.sub(cand, state)))
-    on = Tensor(mask[:, :, None])
-    off = Tensor(1.0 - mask[:, :, None])
-    updated = ad.add(ad.mul(on, cand), ad.mul(off, state))  # (B, M, H)
+    updated = _blend(mask, cand, state)  # (B, M, H)
 
     comm_source = snap_site(model.quantizer, model.site == "communication_input", updated)
-    q = model.comm_query(updated)
-    k = model.comm_key(comm_source)
-    v = model.comm_value(comm_source)
-    logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(model.att_dim))
-    att = ad.softmax(logits)
-    h = snap_site(model.quantizer, model.site == "communication_result", ad.matmul(att, v))  # (B, M, H)
-
+    h = snap_site(model.quantizer, model.site == "communication_result", _communicate(model, updated, comm_source))
     return ad.add(updated, h)
 
 

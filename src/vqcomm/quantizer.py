@@ -168,11 +168,12 @@ def _snap_output(h: Tensor, z: Tensor, idx0: np.ndarray, config: QuantizerConfig
 def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutput:
     """Snap each head of ``h`` to its nearest code; straight-through backward.
 
-    ``h`` may be a single vector of length m or a batch of shape (B, m).
-    Losses are the per-vector head averages, then averaged over the batch.
+    ``h`` has shape (..., m): a single vector or any batch of them, counted
+    as ``h.size // m`` vectors. Losses are the per-vector head averages,
+    then averaged over the vectors.
     """
     h = _check_input(h, config, codebook)
-    batch = 1 if h.ndim == 1 else h.shape[0]
+    batch = h.size // config.m
     idx0 = nearest_indices(h.data.reshape(batch, config.G, config.d), codebook.entries.data)
     # straight-through: forward value is the snapped vector, backward is identity on h
     z = ad.straight_through(h, codebook.entries.data[idx0].reshape(h.shape))
@@ -199,7 +200,7 @@ def gumbel_quantize(
         raise ValueError(f"temperature must be positive, got {temperature}")
     h = _check_input(h, config, codebook)
     _require_finite("gumbel_quantize", h.data, codebook.entries.data)
-    batch = 1 if h.ndim == 1 else h.shape[0]
+    batch = h.size // config.m
 
     seg4 = ad.reshape(h, (batch, config.G, 1, config.d))
     logits = ad.scale(ad.sqdist(seg4, codebook.entries), -1.0)  # (B, G, L)
@@ -218,21 +219,34 @@ def gumbel_quantize(
 
 
 def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
-    """codebook_loss_weight * mean(codebook) + beta * mean(commitment) over a list of snap outputs."""
+    """codebook_loss_weight * mean(codebook) + beta * mean(commitment) over a list of snap outputs.
+
+    One tape node whose parents are the codebook entries and each snap's
+    input. Its value sums the losses left to right, as a chain of adds
+    would; its backward hands every snap's codebook and commitment
+    closures the gradient that chain would, calling them in snap order.
+    The per-snap loss nodes stay usable on their own but are not walked.
+    """
     outputs = list(outputs)
     if not outputs:
         raise ValueError("combined_aux_loss: no quantization outputs")
     inv = 1.0 / len(outputs)
-    cb = ad.scale(_sum_scalars([o.codebook_loss for o in outputs]), inv)
-    cm = ad.scale(_sum_scalars([o.commitment_loss for o in outputs]), inv)
-    return ad.add(ad.scale(cb, config.codebook_loss_weight), ad.scale(cm, config.beta))
+    weight, beta = float(config.codebook_loss_weight), float(config.beta)
+    cb, cm = outputs[0].codebook_loss.data, outputs[0].commitment_loss.data
+    for o in outputs[1:]:
+        cb = cb + o.codebook_loss.data
+        cm = cm + o.commitment_loss.data
+    value = cb * inv * weight + cm * inv * beta
+    parents = {id(p): p for o in outputs for loss in (o.codebook_loss, o.commitment_loss) for p in loss._parents}
 
+    def backward(g):
+        g_cb, g_cm = g * weight * inv, g * beta * inv
+        for o in outputs:
+            for loss, grad in ((o.codebook_loss, g_cb), (o.commitment_loss, g_cm)):
+                if loss._backward is not None:
+                    loss._backward(grad)
 
-def _sum_scalars(ts: list[Tensor]) -> Tensor:
-    total = ts[0]
-    for t in ts[1:]:
-        total = ad.add(total, t)
-    return total
+    return ad._node(value, tuple(parents.values()), backward)
 
 
 def usage_counts(indices, L: int) -> np.ndarray:

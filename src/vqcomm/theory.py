@@ -130,6 +130,8 @@ def verify_hoeffding(L: int, G: int, d: int, n: int, delta: float, trials: int, 
     draws, then per trial compares fresh empirical frequencies against the
     closed-form bound.
     """
+    if min(L, d, trials) < 1:
+        raise ConfigError(f"hoeffding needs L, d and trials >= 1, got L = {L}, d = {d}, trials = {trials}")
     cells = L**G
     if cells > _MAX_ENUMERABLE_CELLS:
         raise ConfigError(f"L^G = {cells} exceeds enumeration guard {_MAX_ENUMERABLE_CELLS}")
@@ -174,6 +176,11 @@ def gaussian_variance_sweep(
     Per (L, G, trial): draw vectors, fit a codebook to their heads with
     k-means, quantize, and record the summed per-dimension variance.
     """
+    if min(m, samples, trials, *L_values, *G_values) < 1:
+        raise ConfigError(
+            f"variance sweep needs m, samples, trials and every L and G >= 1, got m = {m}, "
+            f"samples = {samples}, trials = {trials}, L = {list(L_values)}, G = {list(G_values)}"
+        )
     rows = []
     for L in L_values:
         for G in G_values:
@@ -220,6 +227,8 @@ def vector_field(grid_range: float, grid_steps: int, codebook: Codebook) -> list
     """Displacement q(h) - h on a square grid for a 2-D codebook (G = 1)."""
     if codebook.d != 2:
         raise ConfigError(f"vector-field needs 2-D codes, got d = {codebook.d}")
+    if codebook.L < 1 or grid_steps < 1:
+        raise ConfigError(f"vector-field needs L >= 1 and steps >= 1, got L = {codebook.L}, steps = {grid_steps}")
     axis = np.linspace(-grid_range, grid_range, grid_steps)
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     codes = nearest_indices(points, codebook.entries.data)

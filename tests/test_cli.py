@@ -221,12 +221,48 @@ _TINY_ADDING_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("setting", ["training.batch_size=0", "training.epochs=-1"])
+@pytest.mark.parametrize(
+    "setting",
+    [
+        "training.batch_size=0",
+        "training.epochs=-1",
+        "training.lr=nan",
+        "training.lr=-1",
+        "training.grad_clip=nan",
+        "task.train_count=0",
+        "task.eval_count=0",
+        "model.att_dim=0",
+    ],
+)
 def test_bad_training_sizes_are_config_errors(tmp_path, capsys, setting):
     out = tmp_path / "toy"
     assert main(["run", "adding", *_TINY_ADDING_FLAGS, "--set", setting, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "toy.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gaussian", "--trials", "0"],
+        ["gaussian", "--samples", "0"],
+        ["gaussian", "--m", "0"],
+        ["gaussian", "--L", "0,8"],
+        ["gaussian", "--G", "0"],
+        ["hoeffding", "--trials", "0"],
+        ["hoeffding", "--d", "0"],
+        ["hoeffding", "--L", "0"],
+        ["vector-field", "--L", "0"],
+        ["vector-field", "--steps", "-1"],
+        ["vector-field", "--steps", "0"],
+    ],
+    ids=["gaussian-trials", "gaussian-samples", "gaussian-m", "gaussian-L", "gaussian-G", "hoeffding-trials",
+         "hoeffding-d", "hoeffding-L", "vector-field-L", "vector-field-negative-steps", "vector-field-zero-steps"],
+)
+def test_analysis_size_flags_are_config_errors(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and captured.out == ""
 
 
 def test_shape_error_during_run_is_runtime_failure(monkeypatch, capsys):

@@ -111,11 +111,22 @@ def test_warmup_vectors_must_be_positive(value):
 
 @pytest.mark.parametrize(
     "training, field",
-    [({"batch_size": 0}, "batch_size"), ({"batch_size": -3}, "batch_size"), ({"epochs": -1}, "epochs")],
-    ids=["zero_batch", "negative_batch", "negative_epochs"],
+    [
+        ({"batch_size": 0}, "batch_size"),
+        ({"batch_size": -3}, "batch_size"),
+        ({"epochs": -1}, "epochs"),
+        ({"lr": "nan"}, "lr"),
+        ({"lr": -1}, "lr"),
+        ({"lr": 0}, "lr"),
+        ({"grad_clip": "nan"}, "grad_clip"),
+        ({"grad_clip": -1}, "grad_clip"),
+    ],
+    ids=["zero_batch", "negative_batch", "negative_epochs", "nan_lr", "negative_lr", "zero_lr", "nan_clip",
+         "negative_clip"],
 )
 def test_training_sizes_rejected_up_front(training, field):
-    # a zero batch size forms no batches; negative epochs would train nothing and still write a record
+    # a zero batch size forms no batches; negative epochs would train nothing and still write a record;
+    # a NaN lr failed later in the nearest-code search, and a negative lr or a NaN clip trained silently
     with pytest.raises(ConfigError, match=f"training.{field}"):
         config_from_dict({"training": training})
 
@@ -134,8 +145,13 @@ def test_zero_epochs_and_unit_batch_are_valid():
         {"kind": "gridworld", "task": {"ood_objects": "3,26"}},
         {"kind": "transformer-toy", "model": {"heads": 3}},
         {"kind": "transformer-toy", "model": {"heads": 0}},
+        {"kind": "adding", "task": {"train_count": 0}},
+        {"kind": "adding", "task": {"eval_count": 0}},
+        {"kind": "transformer-toy", "task": {"train_count": 0}},
+        {"kind": "adding", "model": {"att_dim": 0}},
     ],
-    ids=["seq_len", "gap", "train_objects", "ood_objects", "heads", "zero_heads"],
+    ids=["seq_len", "gap", "train_objects", "ood_objects", "heads", "zero_heads", "train_count", "eval_count",
+         "transformer_train_count", "att_dim"],
 )
 def test_task_sizes_rejected_up_front(data):
     with pytest.raises(ConfigError):
@@ -143,7 +159,7 @@ def test_task_sizes_rejected_up_front(data):
 
 
 def test_task_sizes_checked_only_for_the_kinds_using_them():
-    bad = {"task": {"seq_len": 0, "train_objects": 30}, "model": {"heads": 3}}
+    bad = {"task": {"seq_len": 0, "train_objects": 30, "train_count": 0}, "model": {"heads": 3, "att_dim": 0}}
     for kind in ("bounds", "hoeffding", "gaussian-analysis"):
         config_from_dict({"kind": kind, **bad})
 

@@ -115,7 +115,7 @@ def test_quantizer_keeps_outputs_only_when_a_loss_is_on_the_tape():
         assert quantizer.take_outputs() == []
         quantizer.apply(Parameter(h))  # the commitment loss still trains the sender
         [kept] = quantizer.take_outputs()
-    assert np.array_equal(kept.z.data, z.data.reshape(6, 4)) and kept.indices.shape == (6, 2)
+    assert np.array_equal(kept.z.data, z.data) and kept.indices.shape == (6, 2)
     quantizer.apply(Tensor(h))  # the codebook loss trains the codes
     assert len(quantizer.take_outputs()) == 1
     assert quantizer.take_outputs() == []
