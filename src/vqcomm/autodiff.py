@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over dense float64 arrays.
 
 Every op builds one node of an implicit tape (parent links + a backward
-closure); ``backward`` walks the tape once in reverse topological order.
-The tape is rebuilt on every forward pass and discarded after use. An op
-whose parents all have ``requires_grad`` False builds no node, so a forward
-inside ``no_grad(params)`` keeps no tape.
+closure); ``backward`` walks the tape once in reverse topological order and
+frees each node as it leaves it, so a tape is walked once: the next backward
+needs a new forward pass. An op whose parents all have ``requires_grad``
+False builds no node, so a forward inside ``no_grad(params)`` keeps no tape.
 """
 
 from __future__ import annotations
@@ -467,8 +467,23 @@ def straight_through(x, value) -> Tensor:
     return _node(value, (x,), backward)
 
 
+_WALKED = "backward: the tape reaches a node an earlier backward pass freed; a tape is walked once"
+
+
+def _walked(g):
+    raise RuntimeError(_WALKED)
+
+
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tensor reachable from a scalar loss."""
+    """Populate ``grad`` on every leaf reachable from a scalar loss.
+
+    Once an interior node's closure has run, the node drops its gradient,
+    its closure and its parent links, so the graph's buffers are freed as
+    the walk goes rather than when the caller lets go of the loss. Leaves
+    (tensors without a closure: parameters, codebook entries, user inputs)
+    keep their gradients. A second backward through a freed node raises
+    ``RuntimeError`` before any gradient is touched.
+    """
     if loss.ndim != 0:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     # reverse topological order via iterative DFS
@@ -482,12 +497,18 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _walked:
+            raise RuntimeError(_WALKED)
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if id(p) not in seen and p.requires_grad:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
+    while order:
+        node = order.pop()  # drop the walk's reference along with the node's own
+        if node._backward is None:
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _walked, ()

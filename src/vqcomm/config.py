@@ -140,6 +140,9 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
         if self.kind in _ARCHITECTURES:
             check_site(_ARCHITECTURES[self.kind], self.quantizer.site)
+            if self.quantizer.discretize and self.training.epochs == 0:
+                # without a warmup epoch the codebook is never fitted and evaluation runs unquantized
+                raise ConfigError("quantizer.discretize needs training.epochs >= 1: the first epoch fits the codebook")
         _check_task_sizes(self)
 
     def to_dict(self) -> dict:

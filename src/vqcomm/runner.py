@@ -7,6 +7,7 @@ wall time are bit-reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import logging
 import os
 import time
@@ -224,14 +225,14 @@ class _EpochAccumulator:
     batches: int = 0
     usage: np.ndarray | None = None  # None until a quantized batch arrives
 
-    def add(self, task_loss, cb, cm, total, qouts):
+    def add(self, task_loss, cb, cm, total, indices):
         self.task += task_loss
         self.codebook += cb
         self.commitment += cm
         self.total += total
         self.batches += 1
-        for q in qouts:
-            counts = usage_counts(q.indices, self.L)
+        for idx in indices:
+            counts = usage_counts(idx, self.L)
             self.usage = counts if self.usage is None else self.usage + counts
 
     def row(self, epoch: int) -> dict:
@@ -249,6 +250,32 @@ class _EpochAccumulator:
         }
 
 
+def _train_step(config: ExperimentConfig, quantizer, params, opt, loss_fn, batch, where: str):
+    """Forward, backward and optimizer step on one batch.
+
+    Returns the task, codebook, commitment and total losses as floats and
+    the code indices of each snap. Nothing else leaves the call, so the
+    batch's graph is gone before the next batch's forward starts.
+    """
+    task_loss = loss_fn(batch)
+    qouts = quantizer.take_outputs() if quantizer is not None else []
+    loss = task_loss
+    cb = cm = 0.0
+    if qouts:
+        loss = ad.add(loss, combined_aux_loss(qouts, quantizer.config))
+        cb = float(np.mean([q.codebook_loss.item() for q in qouts]))
+        cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite training loss {loss.item()} at {where}")
+    opt.zero_grad()
+    ad.backward(loss)
+    fill_missing_grads(params)
+    if config.training.grad_clip > 0:
+        clip_global_norm(params, config.training.grad_clip)
+    opt.step()
+    return task_loss.item(), cb, cm, loss.item(), [q.indices for q in qouts]
+
+
 def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn):
     """Generic epoch loop: warmup/collect, k-means init, then quantized training.
 
@@ -258,32 +285,11 @@ def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn
     """
     opt = _make_optimizer(config, params)
     train_rng = stream_rng(config.seed, "training")
-    qcfg = quantizer.config if quantizer is not None else None
     rows = []
     for epoch in range(config.training.epochs):
-        acc = _EpochAccumulator(L=qcfg.L if qcfg else None)
+        acc = _EpochAccumulator(L=quantizer.config.L if quantizer is not None else None)
         for i, batch in enumerate(_shuffled_batches(count, config.training.batch_size, train_rng)):
-            # the previous batch's graph stays referenced until this forward
-            # is built: freed any earlier, its pages go back to the OS and the
-            # forward faults them in again (gridworld-vq ran 36% slower)
-            task_loss = loss_fn(batch)
-            qouts = quantizer.take_outputs() if quantizer is not None else []
-            loss = task_loss
-            cb = cm = 0.0
-            if qouts:
-                aux = combined_aux_loss(qouts, qcfg)
-                loss = ad.add(loss, aux)
-                cb = float(np.mean([q.codebook_loss.item() for q in qouts]))
-                cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
-            if not np.isfinite(loss.data):
-                raise FloatingPointError(f"non-finite training loss {loss.item()} at epoch {epoch}, batch {i}")
-            opt.zero_grad()
-            ad.backward(loss)
-            fill_missing_grads(params)
-            if config.training.grad_clip > 0:
-                clip_global_norm(params, config.training.grad_clip)
-            opt.step()
-            acc.add(task_loss.item(), cb, cm, loss.item(), qouts)
+            acc.add(*_train_step(config, quantizer, params, opt, loss_fn, batch, f"epoch {epoch}, batch {i}"))
         # warmup (identity quantizer, collecting) lasts the first epoch
         if quantizer is not None and not quantizer.active:
             quantizer.initialize(seed=stream_rng(config.seed, "codebook"))
@@ -570,7 +576,33 @@ _RUNNERS = {
 }
 
 
+# glibc mallopt parameters (malloc.h) and the values set for them
+_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES = -1, 1 << 30
+_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES = -3, 32 << 20
+
+
+def keep_freed_pages_mapped() -> bool:
+    """Ask glibc to keep freed heap memory mapped; True when both settings took.
+
+    Backward frees each batch's graph, and the next forward allocates arrays
+    of the same sizes again. With glibc's defaults the freed top of the heap
+    goes back to the OS and large arrays get mmaps of their own, so every
+    forward faults its pages in afresh. A 1 GiB trim threshold keeps the
+    heap, and a fixed 32 MiB mmap threshold keeps a graph's arrays on it.
+    Where libc has no ``mallopt`` this does nothing and returns False.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    settings = ((_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES), (_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES))
+    return [mallopt(param, value) for param, value in settings] == [1, 1]
+
+
 def run(config: ExperimentConfig) -> RunRecord:
+    keep_freed_pages_mapped()
     start = time.perf_counter()
     record = _RUNNERS[config.kind](config)
     record.wall_time = time.perf_counter() - start

@@ -229,6 +229,8 @@ def vector_field(grid_range: float, grid_steps: int, codebook: Codebook) -> list
         raise ConfigError(f"vector-field needs 2-D codes, got d = {codebook.d}")
     if codebook.L < 1 or grid_steps < 1:
         raise ConfigError(f"vector-field needs L >= 1 and steps >= 1, got L = {codebook.L}, steps = {grid_steps}")
+    if not math.isfinite(grid_range):
+        raise ConfigError(f"vector-field needs a finite range, got {grid_range}")
     axis = np.linspace(-grid_range, grid_range, grid_steps)
     points = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     codes = nearest_indices(points, codebook.entries.data)

@@ -94,6 +94,37 @@ def test_shared_subexpression_visited_once():
     assert x.grad == 24.0
 
 
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads():
+    w = Tensor(np.array([[0.5, -1.0], [2.0, 0.25]]), requires_grad=True)
+    x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
+    h = ad.matmul(w, x)
+    a = ad.tanh(h)
+    sq = ad.mul(a, a)
+    loss = ad.tsum(sq)
+    ad.backward(loss)
+    for node in (h, a, sq, loss):
+        assert node.grad is None and node._parents == ()
+        assert getattr(node._backward, "__closure__", None) is None  # the op's closure is gone
+    t = np.tanh(w.data @ x.data)
+    g = 2.0 * t * (1.0 - t * t)
+    assert np.allclose(w.grad, g @ x.data.T, rtol=1e-15, atol=0)
+    assert np.allclose(x.grad, w.data.T @ g, rtol=1e-15, atol=0)
+    assert np.array_equal(a.data, t)  # values stay readable
+
+
+def test_second_backward_through_a_walked_tape_raises():
+    x = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    y = ad.mul(x, x)
+    loss = ad.tsum(y)
+    ad.backward(loss)
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError, match="walked once"):
+        ad.backward(loss)
+    with pytest.raises(RuntimeError, match="walked once"):
+        ad.backward(ad.tsum(ad.scale(y, 3.0)))  # a new op on a freed node
+    assert np.array_equal(x.grad, first)  # the refused walks touched no gradient
+
+
 CASES = {
     "matmul": lambda xs: ad.matmul(Tensor(xs[0], True), Tensor(xs[1], True)),
     "add": lambda xs: ad.add(Tensor(xs[0], True), Tensor(xs[1], True)),

@@ -241,6 +241,14 @@ def test_bad_training_sizes_are_config_errors(tmp_path, capsys, setting):
     assert not (tmp_path / "toy.json").exists()
 
 
+def test_quantized_run_without_epochs_is_config_error(tmp_path, capsys):
+    out = tmp_path / "toy"
+    argv = ["run", "adding", *_TINY_ADDING_FLAGS, "--set", "quantizer.discretize=true", "--set", "training.epochs=0"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert "training.epochs" in capsys.readouterr().err
+    assert not (tmp_path / "toy.json").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -255,9 +263,12 @@ def test_bad_training_sizes_are_config_errors(tmp_path, capsys, setting):
         ["vector-field", "--L", "0"],
         ["vector-field", "--steps", "-1"],
         ["vector-field", "--steps", "0"],
+        ["vector-field", "--range", "nan"],
+        ["vector-field", "--range", "inf"],
     ],
     ids=["gaussian-trials", "gaussian-samples", "gaussian-m", "gaussian-L", "gaussian-G", "hoeffding-trials",
-         "hoeffding-d", "hoeffding-L", "vector-field-L", "vector-field-negative-steps", "vector-field-zero-steps"],
+         "hoeffding-d", "hoeffding-L", "vector-field-L", "vector-field-negative-steps", "vector-field-zero-steps",
+         "vector-field-nan-range", "vector-field-inf-range"],
 )
 def test_analysis_size_flags_are_config_errors(capsys, argv):
     assert main(argv) == 2

@@ -131,6 +131,14 @@ def test_training_sizes_rejected_up_front(training, field):
         config_from_dict({"training": training})
 
 
+@pytest.mark.parametrize("kind", ["adding", "gridworld", "transformer-toy"])
+def test_quantized_run_needs_a_warmup_epoch(kind):
+    # with no epoch the codebook is never fitted, so evaluation would run unquantized
+    with pytest.raises(ConfigError, match="training.epochs"):
+        config_from_dict({"kind": kind, "quantizer": {"discretize": True}, "training": {"epochs": 0}})
+    assert config_from_dict({"kind": kind, "quantizer": {"discretize": True}, "training": {"epochs": 1}})
+
+
 def test_zero_epochs_and_unit_batch_are_valid():
     cfg = config_from_dict({"training": {"epochs": 0, "batch_size": 1}})
     assert (cfg.training.epochs, cfg.training.batch_size) == (0, 1)

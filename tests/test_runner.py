@@ -1,4 +1,5 @@
 import json
+import platform
 import tracemalloc
 
 import numpy as np
@@ -77,7 +78,10 @@ def test_epoch_rows_monotone_and_loss_accounting():
 
 
 def test_zero_epochs_gives_initialization_metrics_only():
-    cfg = config_from_dict({**TINY_ADDING, "training": {"epochs": 0, "batch_size": 12, "lr": 1e-3}})
+    # a baseline: a quantized run needs its warmup epoch (test_config)
+    cfg = config_from_dict(
+        {**TINY_ADDING, "training": {"epochs": 0, "batch_size": 12, "lr": 1e-3}, "quantizer": {"discretize": False}}
+    )
     record = run(cfg)
     assert record.epochs == []
     assert set(record.final) == {"in_dist", "ood_val", "ood_test"}
@@ -280,6 +284,32 @@ def test_epoch_memory_does_not_grow_with_batches(monkeypatch):
     # one batch's graph at this size holds about 1.7 MB; keeping the graphs
     # until the epoch ends grew live memory by that much per batch
     assert (quantized[-1] - quantized[1]) / (batches - 2) < 16 * 1024
+
+
+def test_backward_frees_the_batch_graph(monkeypatch):
+    """Live traced memory is lower right after each backward pass than right
+    before it: the walk frees the graph instead of adding gradients to it."""
+    live = []
+    original = autodiff.backward
+
+    def recording(loss):
+        before = tracemalloc.get_traced_memory()[0]
+        original(loss)
+        live.append((before, tracemalloc.get_traced_memory()[0]))
+
+    monkeypatch.setattr(autodiff, "backward", recording)
+    tracemalloc.start()
+    try:
+        run(config_from_dict(TINY_ADDING))
+    finally:
+        tracemalloc.stop()
+    assert len(live) == 4  # 2 epochs of 2 batches, the second quantized
+    assert all(after < before for before, after in live), live
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the thresholds are glibc mallopt parameters")
+def test_freed_pages_stay_mapped_on_glibc():
+    assert runner_module.keep_freed_pages_mapped()
 
 
 def _capture_quantizer(monkeypatch, built):
