@@ -54,6 +54,13 @@ def _ints(text: str) -> list[int]:
         raise ConfigError(f"expected comma-separated integers, got {text!r}") from e
 
 
+def _seed(args) -> int:
+    """The ``--seed`` of an analysis command; numpy's seed sequences take only seeds >= 0."""
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def cmd_run(args) -> int:
     config = _build_config(args)
     record = runner.run(config)
@@ -86,7 +93,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_hoeffding(args) -> int:
     rec = theory.verify_hoeffding(
-        L=args.L, G=args.G, d=args.d, n=args.n, delta=args.delta, trials=args.trials, seed=args.seed
+        L=args.L, G=args.G, d=args.d, n=args.n, delta=args.delta, trials=args.trials, seed=_seed(args)
     )
     final = runner.hoeffding_final(rec)
     summary = {key: final[key] for key in ("violation_rate", "bound", "cell_count")}
@@ -100,7 +107,7 @@ def cmd_hoeffding(args) -> int:
 
 def cmd_gaussian(args) -> int:
     rows = theory.gaussian_variance_sweep(
-        args.m, _ints(args.L), _ints(args.G), samples=args.samples, trials=args.trials, seed=args.seed
+        args.m, _ints(args.L), _ints(args.G), samples=args.samples, trials=args.trials, seed=_seed(args)
     )
     if args.out:
         runner.emit_csv(f"{args.out}_variance.csv", rows, runner.ANALYSIS_COLUMNS["variance"])
@@ -123,7 +130,7 @@ def cmd_vector_field(args) -> int:
     if args.codebook:
         book, _ = _load_codebook(args.codebook)
     else:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(_seed(args))
         book = Codebook(args.L, 2, entries=rng.normal(size=(args.L, 2)), initialized=True)
     rows = theory.vector_field(args.range, args.steps, book)
     if args.out:

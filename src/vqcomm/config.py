@@ -12,19 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .models.common import ConfigError, check_site
+from .models.common import VALID_SITES, ConfigError
+from .optim import OPTIMIZERS
 
-KINDS = (
-    "adding",
-    "gridworld",
-    "transformer-toy",
-    "gaussian-analysis",
-    "bounds",
-    "hoeffding",
-)
-
-# the architecture whose quantization sites each training kind offers
-_ARCHITECTURES = {"adding": "rim", "gridworld": "gnn", "transformer-toy": "transformer"}
+ADDING_INPUT_DIM = 2  # (value, marker) per step of the adding task
 
 
 @dataclass
@@ -38,10 +29,6 @@ class QuantizerSettings:
     method: str = "vq"  # or "gumbel"
     temperature: float = 1.0
     warmup_vectors: int = 512
-
-    def __post_init__(self):
-        if self.warmup_vectors < 1:
-            raise ConfigError(f"quantizer.warmup_vectors must be at least 1, got {self.warmup_vectors}")
 
 
 @dataclass
@@ -114,15 +101,80 @@ class TrainingSettings:
     optimizer: str = "adam"
     grad_clip: float = 0.0  # 0 disables clipping
 
-    def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError(f"training.batch_size must be at least 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"training.epochs must not be negative, got {self.epochs}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ConfigError(f"training.lr must be a positive finite number, got {self.lr}")
-        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
-            raise ConfigError(f"training.grad_clip must be finite and >= 0 (0: no clipping), got {self.grad_clip}")
+
+_QUANTIZER = {"L": 1, "G": 1, "beta": ">0", "codebook_loss_weight": ">0", "method": ("vq", "gumbel"),
+              "temperature": ">0", "warmup_vectors": 1}
+_TRAINING = {"epochs": 0, "batch_size": 1, "lr": ">0", "optimizer": tuple(OPTIMIZERS), "grad_clip": ">=0"}
+
+# Every field each kind reads, bools aside, with its rule: an int's (or each tuple element's) inclusive
+# lower bound, ">0" or ">=0" for a float (which must also be finite), or a string's choices. The bounds
+# and hoeffding kinds have none: BoundInputs and verify_hoeffding reject their fields before any work.
+FIELD_RULES = {
+    "adding": {
+        "quantizer": {**_QUANTIZER, "site": VALID_SITES["rim"]},
+        "training": _TRAINING,
+        "model": {"hidden": 1, "modules": 1, "k": 1, "att_dim": 1},
+        "task": {"seq_len": 1, "train_gap": 0, "val_gap": 0, "test_gap": 0, "max_value": ">0", "train_count": 1,
+                 "eval_count": 1},
+    },
+    "gridworld": {
+        "quantizer": {**_QUANTIZER, "site": VALID_SITES["gnn"]},
+        "training": _TRAINING,
+        "model": {"node_dim": 1, "msg_dim": 1, "gnn_hidden": 1},
+        "task": {"grid_size": 1, "train_objects": 1, "ood_objects": 1, "episode_steps": 1, "train_transitions": 1,
+                 "eval_transitions": 1},
+    },
+    "transformer-toy": {
+        "quantizer": {**_QUANTIZER, "site": VALID_SITES["transformer"]},
+        "training": _TRAINING,
+        "model": {"dim": 1, "heads": 1, "blocks": 1},
+        # position 0 is the readout slot, so a sequence needs one more position to mark
+        "task": {"train_count": 1, "eval_count": 1, "vocab": 1, "train_len": 2, "test_len": 2, "max_len": 2},
+    },
+    "gaussian-analysis": {
+        "task": {"gaussian_m": 1, "L_values": 1, "G_values": 1, "variance_samples": 1, "variance_trials": 1,
+                 "attention_seeds": 0, "train_distractors": 0, "test_distractors": 0},
+    },
+    "bounds": {},
+    "hoeffding": {},
+}
+KINDS = tuple(FIELD_RULES)
+
+
+def _check_field(name: str, value, rule) -> None:
+    if isinstance(rule, tuple):
+        ok, need = value in rule, f"one of {rule}"
+    elif isinstance(rule, str):
+        ok, need = math.isfinite(value) and (value > 0 if rule == ">0" else value >= 0), f"finite and {rule}"
+    else:
+        ok, need = all(v >= rule for v in (value if isinstance(value, tuple) else (value,))), f">= {rule}"
+    if not ok:
+        raise ConfigError(f"{name} = {value!r} is invalid: it must be {need}")
+
+
+def quantizer_dim(config: ExperimentConfig) -> int:
+    """Length of the vectors the quantizer of a training kind snaps."""
+    if config.kind == "adding":
+        return ADDING_INPUT_DIM if config.quantizer.site == "raw_input" else config.model.hidden
+    return config.model.msg_dim if config.kind == "gridworld" else config.model.dim
+
+
+def _check_cross_fields(c: ExperimentConfig) -> None:
+    """The rules that tie fields together; each runs after the fields it reads passed the table."""
+    q, t = c.quantizer, c.task
+    if c.kind in ("adding", "gridworld", "transformer-toy") and q.discretize:
+        if c.training.epochs < 1:  # without a warmup epoch the codebook is never fitted
+            raise ConfigError("quantizer.discretize needs training.epochs >= 1: the first epoch fits the codebook")
+        if quantizer_dim(c) % q.G:
+            raise ConfigError(f"quantizer.G = {q.G} does not divide the {quantizer_dim(c)}-wide vectors at {q.site}")
+    if c.kind == "gridworld" and (most := max((t.train_objects, *t.ood_objects))) > t.grid_size**2:
+        raise ConfigError(f"task.train_objects/ood_objects: cannot place {most} objects on {t.grid_size**2} cells")
+    if c.kind == "transformer-toy" and c.model.dim % c.model.heads:
+        raise ConfigError(f"model.dim {c.model.dim} must be divisible by model.heads {c.model.heads}")
+    if c.kind == "transformer-toy" and t.max_len < t.train_len:
+        raise ConfigError(f"task.max_len {t.max_len} must be at least task.train_len {t.train_len}")
+    if c.kind == "gaussian-analysis" and any(t.gaussian_m % G for G in t.G_values):
+        raise ConfigError(f"task.G_values {t.G_values} must each divide task.gaussian_m {t.gaussian_m}")
 
 
 @dataclass
@@ -138,40 +190,14 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; choose from {KINDS}")
-        if self.kind in _ARCHITECTURES:
-            check_site(_ARCHITECTURES[self.kind], self.quantizer.site)
-            if self.quantizer.discretize and self.training.epochs == 0:
-                # without a warmup epoch the codebook is never fitted and evaluation runs unquantized
-                raise ConfigError("quantizer.discretize needs training.epochs >= 1: the first epoch fits the codebook")
-        _check_task_sizes(self)
+        _check_field("seed", self.seed, 0)
+        for section, rules in FIELD_RULES[self.kind].items():
+            for key, rule in rules.items():
+                _check_field(f"{section}.{key}", getattr(getattr(self, section), key), rule)
+        _check_cross_fields(self)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _check_task_sizes(config: ExperimentConfig) -> None:
-    """Reject, before the run, the sizes the kind's generators and model would refuse."""
-    t, m = config.task, config.model
-    if config.kind in ("adding", "transformer-toy"):
-        for key in ("train_count", "eval_count"):
-            if getattr(t, key) < 1:
-                raise ConfigError(f"task.{key} must be at least 1, got {getattr(t, key)}")
-    if config.kind == "adding":
-        if m.att_dim < 1:
-            raise ConfigError(f"model.att_dim must be at least 1, got {m.att_dim}")
-        if t.seq_len < 1:
-            raise ConfigError(f"task.seq_len must be positive, got {t.seq_len}")
-        for key in ("train_gap", "val_gap", "test_gap"):
-            if getattr(t, key) < 0:
-                raise ConfigError(f"task.{key} must be non-negative, got {getattr(t, key)}")
-    elif config.kind == "gridworld":
-        cells = t.grid_size * t.grid_size
-        for key, count in [("train_objects", t.train_objects)] + [("ood_objects", n) for n in t.ood_objects]:
-            if count > cells:
-                raise ConfigError(f"task.{key}: cannot place {count} objects on a {t.grid_size}x{t.grid_size} grid")
-    elif config.kind == "transformer-toy":
-        if m.heads < 1 or m.dim % m.heads != 0:
-            raise ConfigError(f"model.dim {m.dim} must be divisible by model.heads {m.heads}")
 
 
 _SECTIONS = {

@@ -92,3 +92,6 @@ class Adam:
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
+
+
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}

@@ -44,10 +44,10 @@ class QuantizerConfig:
             raise ValueError(f"vector dimension must be positive, got {self.m}")
         if self.m % self.G != 0:
             raise ShapeError(f"heads: {self.m} not divisible by {self.G}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.codebook_loss_weight <= 0:
-            raise ValueError(f"codebook_loss_weight must be positive, got {self.codebook_loss_weight}")
+        if not (np.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not (np.isfinite(self.codebook_loss_weight) and self.codebook_loss_weight > 0):
+            raise ValueError(f"codebook_loss_weight must be finite and positive, got {self.codebook_loss_weight}")
 
     @property
     def d(self) -> int:
@@ -350,4 +350,6 @@ def load_codebook(path) -> tuple[Codebook, QuantizerConfig]:
             f"{path}: codebook payload is {len(raw) - head_size} bytes, header L={L}, d={config.d} needs {payload}"
         )
     entries = np.frombuffer(raw[head_size:], dtype=np.float64).reshape(L, config.d).copy()
+    if not np.isfinite(entries).all():
+        raise ValueError(f"{path}: non-finite codebook entry")
     return Codebook(config.L, config.d, entries=entries, initialized=True), config

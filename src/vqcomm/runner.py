@@ -19,13 +19,13 @@ import numpy as np
 from . import autodiff as ad
 from . import theory
 from .autodiff import Tensor
-from .config import ExperimentConfig, config_from_dict
+from .config import ADDING_INPUT_DIM, ExperimentConfig, config_from_dict, quantizer_dim
 from .models.attention import TransformerClassifier
 from .models.common import CommunicationQuantizer, ConfigError
 from .models.gnn import ContrastiveWorldModel
 from .models.rim import RimModel, RimRegressor
 from .nn import Parameter
-from .optim import Adam, SGD, clip_global_norm, fill_missing_grads
+from .optim import OPTIMIZERS, clip_global_norm, fill_missing_grads
 from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss, save_codebook, usage_counts
 from .seeding import stream_rng
 from .tasks import (
@@ -40,8 +40,6 @@ from .tasks import (
 from . import __version__
 
 log = logging.getLogger("vqcomm")
-
-_ADDING_INPUT_DIM = 2  # (value, marker) per step
 
 EPOCH_COLUMNS = ["epoch", "task_loss", "codebook_loss", "commitment_loss", "total_loss", "perplexity"]
 
@@ -176,40 +174,17 @@ def emit_record(record: RunRecord, out: str) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def quantizer_dim(config: ExperimentConfig) -> int:
-    """Length of the vectors the quantizer of a training kind snaps."""
-    if config.kind == "gridworld":
-        return config.model.msg_dim
-    if config.kind == "transformer-toy":
-        return config.model.dim
-    return _ADDING_INPUT_DIM if config.quantizer.site == "raw_input" else config.model.hidden
-
-
 def _build_quantizer(config: ExperimentConfig) -> CommunicationQuantizer | None:
     q = config.quantizer
     if not q.discretize:
         return None
-    try:
-        qc = QuantizerConfig(
-            L=q.L, G=q.G, m=quantizer_dim(config), beta=q.beta, codebook_loss_weight=q.codebook_loss_weight
-        )
-    except ValueError as e:
-        raise ConfigError(f"quantizer: {e}") from e
     return CommunicationQuantizer(
-        qc,
+        QuantizerConfig(q.L, q.G, quantizer_dim(config), beta=q.beta, codebook_loss_weight=q.codebook_loss_weight),
         method=q.method,
         temperature=q.temperature,
         warmup_vectors=q.warmup_vectors,
         rng=stream_rng(config.seed, "gumbel"),
     )
-
-
-def _make_optimizer(config: ExperimentConfig, params: list[Parameter]):
-    if config.training.optimizer == "adam":
-        return Adam(params, lr=config.training.lr)
-    if config.training.optimizer == "sgd":
-        return SGD(params, lr=config.training.lr)
-    raise ConfigError(f"unknown optimizer {config.training.optimizer!r}")
 
 
 @dataclass
@@ -283,7 +258,7 @@ def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn
     indices; ``loss_fn(idx)`` returns the task loss Tensor, and the snaps of
     its forward are taken from the quantizer. Returns per-epoch metric rows.
     """
-    opt = _make_optimizer(config, params)
+    opt = OPTIMIZERS[config.training.optimizer](params, lr=config.training.lr)
     train_rng = stream_rng(config.seed, "training")
     rows = []
     for epoch in range(config.training.epochs):
@@ -350,7 +325,7 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
     quantizer = _build_quantizer(config)
     model = RimModel(
         init_rng,
-        input_dim=_ADDING_INPUT_DIM,
+        input_dim=ADDING_INPUT_DIM,
         hidden=config.model.hidden,
         num_modules=config.model.modules,
         k=config.model.k,
@@ -622,11 +597,11 @@ def sweep(
     G_values: list[int],
     seeds: list[int],
 ) -> tuple[list[RunRecord], list[dict], list[dict]]:
-    """Cartesian product over (L, G, seed); invalid cells are skipped with a
-    logged warning. Returns (records, skipped, aggregate rows)."""
-    records, skipped, rows = [], [], []
-    metric_cols = METRIC_COLUMNS.get(base.kind)
-    if metric_cols is None:
+    """Cartesian product over (L, G, seed). A cell whose G does not divide the quantized width is
+    skipped with a logged warning; every other cell's config is checked before any cell runs.
+    Returns (records, skipped, aggregate rows)."""
+    records, skipped, rows, cells = [], [], [], []
+    if base.kind not in METRIC_COLUMNS:
         raise ConfigError(f"sweep supports training kinds, not {base.kind!r}")
     m = quantizer_dim(base)
     for L in L_values:
@@ -642,11 +617,11 @@ def sweep(
                 cfg_dict["out"] = ""
                 cfg_dict["quantizer"]["L"] = L
                 cfg_dict["quantizer"]["G"] = G
-                cfg = config_from_dict(cfg_dict)
-                record = run(cfg)
-                records.append(record)
-                for split, metrics in record.final.items():
-                    rows.append({"L": L, "G": G, "seed": seed, "split": split, **metrics})
+                cells.append(config_from_dict(cfg_dict))
+    for cfg in cells:
+        records.append(run(cfg))
+        for split, metrics in records[-1].final.items():
+            rows.append({"L": cfg.quantizer.L, "G": cfg.quantizer.G, "seed": cfg.seed, "split": split, **metrics})
     return records, skipped, rows
 
 

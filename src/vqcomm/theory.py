@@ -53,8 +53,9 @@ class BoundInputs:
             raise ConfigError("L and m must be positive")
         if self.G < 0:
             raise ConfigError(f"head count must be non-negative, got {self.G}")
-        if self.alpha < 0 or self.R_H < 0 or self.varsigma_bar < 0:
-            raise ConfigError("alpha, R_H and varsigma_bar must be non-negative")
+        for name in ("alpha", "R_H", "varsigma_bar", "zeta", "C_J", "L_d"):
+            if not (math.isfinite(getattr(self, name)) and getattr(self, name) >= 0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {getattr(self, name)}")
         if self.rho < 1:
             raise ConfigError(f"rho must be a positive integer, got {self.rho}")
 
@@ -135,6 +136,7 @@ def verify_hoeffding(L: int, G: int, d: int, n: int, delta: float, trials: int, 
     cells = L**G
     if cells > _MAX_ENUMERABLE_CELLS:
         raise ConfigError(f"L^G = {cells} exceeds enumeration guard {_MAX_ENUMERABLE_CELLS}")
+    bound = bound_with_discretization(BoundInputs(G=G, L=L, n=n, delta=delta, alpha=1.0))  # checks G, n, delta
     rng = keyed_rng(seed)
     entries = rng.normal(size=(L, d))
     m = G * d
@@ -142,7 +144,6 @@ def verify_hoeffding(L: int, G: int, d: int, n: int, delta: float, trials: int, 
     ref = rng.normal(size=(_REF_MULTIPLIER * n, m))
     p_ref = np.bincount(_cell_ids(ref, entries, L, G), minlength=cells) / (_REF_MULTIPLIER * n)
 
-    bound = bound_with_discretization(BoundInputs(G=G, L=L, n=n, delta=delta, alpha=1.0))
     gaps = np.zeros(trials)
     for t in range(trials):
         draw = rng.normal(size=(n, m))

@@ -1,16 +1,20 @@
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from vqcomm import runner
 from vqcomm.autodiff import ShapeError
 from vqcomm.cli import main
-from vqcomm.config import config_from_dict, parse_assignments
+from vqcomm.config import FIELD_RULES, config_from_dict, parse_assignments
 from vqcomm.quantizer import Codebook, QuantizerConfig, load_codebook, nearest_indices, save_codebook
 
 
@@ -265,10 +269,24 @@ def test_quantized_run_without_epochs_is_config_error(tmp_path, capsys):
         ["vector-field", "--steps", "0"],
         ["vector-field", "--range", "nan"],
         ["vector-field", "--range", "inf"],
+        ["bounds", "--zeta", "nan"],
+        ["bounds", "--C-J", "-1"],
+        ["run", "bounds", "--set", "task.zeta=nan"],
+        ["run", "bounds", "--set", "task.zeta=-1"],
+        ["run", "bounds", "--set", "task.C_J=nan"],
+        ["hoeffding", "--seed", "-1"],
+        ["gaussian", "--seed", "-1"],
+        ["vector-field", "--seed", "-1"],
+        ["run", "bounds", "--seed", "-1"],
+        ["hoeffding", "--n", "-1"],
+        ["hoeffding", "--G", "-1"],
     ],
     ids=["gaussian-trials", "gaussian-samples", "gaussian-m", "gaussian-L", "gaussian-G", "hoeffding-trials",
          "hoeffding-d", "hoeffding-L", "vector-field-L", "vector-field-negative-steps", "vector-field-zero-steps",
-         "vector-field-nan-range", "vector-field-inf-range"],
+         "vector-field-nan-range", "vector-field-inf-range", "bounds-nan-zeta", "bounds-negative-C_J",
+         "run-bounds-nan-zeta", "run-bounds-negative-zeta", "run-bounds-nan-C_J", "hoeffding-negative-seed",
+         "gaussian-negative-seed", "vector-field-negative-seed", "run-bounds-negative-seed", "hoeffding-negative-n",
+         "hoeffding-negative-G"],
 )
 def test_analysis_size_flags_are_config_errors(capsys, argv):
     assert main(argv) == 2
@@ -374,3 +392,156 @@ def test_bad_sites_and_tuple_values_are_config_errors(argv, capsys):
     non-integer tuple element are rejected before the run."""
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+# one small, fast, valid config per kind; the training kinds quantize, so fuzzed quantizer values are used
+_QUANTIZED = ["quantizer.discretize=true", "quantizer.L=4", "quantizer.G=2", "quantizer.warmup_vectors=8"]
+_TINY_RUNS = {
+    "adding": [*(s.removeprefix("--set=") for s in _TINY_ADDING_FLAGS), "task.val_gap=2", "task.test_gap=4",
+               *_QUANTIZED],
+    "gridworld": ["task.grid_size=3", "task.train_objects=3", "task.ood_objects=2", "task.episode_steps=2",
+                  "task.train_transitions=8", "task.eval_transitions=4", "model.node_dim=2", "model.msg_dim=4",
+                  "model.gnn_hidden=4", "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
+    "transformer-toy": ["task.train_count=8", "task.eval_count=4", "task.vocab=3", "task.train_len=6",
+                        "task.test_len=8", "task.max_len=8", "model.dim=4", "model.heads=2", "model.blocks=2",
+                        "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
+    "gaussian-analysis": ["task.gaussian_m=2", "task.L_values=1,2", "task.G_values=1,2", "task.variance_samples=8",
+                          "task.variance_trials=1", "task.attention_seeds=1", "task.train_distractors=1",
+                          "task.test_distractors=2"],
+    "bounds": [],
+    "hoeffding": ["quantizer.L=4", "quantizer.G=2", "task.hoeffding_n=50", "task.hoeffding_trials=2",
+                  "task.hoeffding_d=1"],
+}
+
+
+def _tiny_run(kind, *settings):
+    return ["run", kind, *(f"--set={s}" for s in [*_TINY_RUNS[kind], *settings])]
+
+
+@pytest.mark.parametrize("kind", sorted(_TINY_RUNS))
+def test_tiny_runs_succeed(kind, capsys):
+    """The control for the cases below and for the config fuzz: each base config runs."""
+    assert main(_tiny_run(kind)) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "kind, settings",
+    [
+        ("adding", "quantizer.method=gumbel quantizer.temperature=0"),
+        ("adding", "quantizer.method=gumbel quantizer.temperature=-1"),
+        ("adding", "quantizer.method=gumbel quantizer.temperature=nan"),
+        ("adding", "quantizer.beta=nan"),
+        ("adding", "quantizer.beta=inf"),
+        ("adding", "quantizer.codebook_loss_weight=nan"),
+        ("adding", "quantizer.codebook_loss_weight=inf"),
+        ("adding", "task.max_value=nan"),
+        ("adding", "task.max_value=-1"),
+        ("adding", "seed=-1"),
+        ("gridworld", "task.episode_steps=0"),
+        ("gridworld", "task.train_transitions=0"),
+        ("gridworld", "task.train_objects=0"),
+        ("gridworld", "task.ood_objects=0"),
+        ("gridworld", "model.node_dim=0"),
+        ("gridworld", "model.msg_dim=0"),
+        ("gridworld", "model.gnn_hidden=0"),
+        ("transformer-toy", "task.vocab=0"),
+        ("transformer-toy", "task.train_len=0"),
+        ("transformer-toy", "task.train_len=1"),
+        ("transformer-toy", "task.test_len=0"),
+        ("transformer-toy", "task.max_len=0"),
+        ("transformer-toy", "task.max_len=4"),
+        ("transformer-toy", "model.dim=0"),
+        ("transformer-toy", "model.blocks=0"),
+        ("gaussian-analysis", "task.train_distractors=-1"),
+        ("gaussian-analysis", "task.test_distractors=-5"),
+        ("gaussian-analysis", "task.attention_seeds=-1"),
+    ],
+)
+def test_bad_field_values_are_config_errors(tmp_path, capsys, kind, settings):
+    """Each of these used to fail inside numpy (exit 1) or to write a meaningless record (exit 0)."""
+    field = settings.split()[-1].split("=")[0]
+    assert main([*_tiny_run(kind, *settings.split()), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and field in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_sweep_checks_every_cell_before_running_one(monkeypatch, capsys):
+    ran = []
+    monkeypatch.setattr(runner, "run", ran.append)
+    assert main(["sweep", *_tiny_run("adding")[1:], "--L", "4", "--G", "2", "--seeds", "0,-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    assert ran == []
+
+
+def _vqcb_bytes(tmp_path, L=4, G=2, m=4) -> bytes:
+    path = tmp_path / "valid.vqcb"
+    save_codebook(path, Codebook(L, m // G, entries=np.arange(L * m // G).reshape(L, -1) / 4.0, initialized=True),
+                  QuantizerConfig(L=L, G=G, m=m))
+    return path.read_bytes()
+
+
+_HEADER = struct.calcsize("<4sIIIIdd")
+
+
+@pytest.mark.parametrize(
+    "offset, value, what",
+    [
+        (_HEADER, float("nan"), "entry"),
+        (_HEADER + 8 * 5, float("inf"), "entry"),
+        (20, float("nan"), "beta"),
+        (28, float("inf"), "codebook_loss_weight"),
+    ],
+    ids=["nan_entry", "inf_entry", "nan_beta", "inf_weight"],
+)
+def test_non_finite_codebook_file_is_config_error(tmp_path, monkeypatch, capsys, offset, value, what):
+    raw = bytearray(_vqcb_bytes(tmp_path))
+    struct.pack_into("<d", raw, offset, value)
+    path = tmp_path / "book.vqcb"
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.1 0.2 0.3 0.4\n"))
+    assert main(["quantize", "--codebook", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and what in err
+    if what == "entry":
+        assert str(path) in err
+
+
+def _table_fields(kind):
+    return ["seed", *(f"{section}.{key}" for section, keys in FIELD_RULES[kind].items() for key in keys)]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_config_value_exits_0_or_2(capsys, data):
+    """A run with one field of its kind's table set to an edge value either runs or is a config error.
+
+    Only small values are drawn: a valid huge size is a long run, not a config error.
+    """
+    kind = data.draw(st.sampled_from(sorted(_TINY_RUNS)))
+    field = data.draw(st.sampled_from(_table_fields(kind)))
+    value = data.draw(st.sampled_from(["0", "-1", "nan", "inf", "-inf", "x"]))
+    assert main(_tiny_run(kind, f"{field}={value}")) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_codebook_file_exits_0_or_2(tmp_path, monkeypatch, capsys, data):
+    """A mutated, truncated or extended L=4, G=2, m=4 .vqcb file either quantizes a line or is a config error."""
+    raw = bytearray(_vqcb_bytes(tmp_path))
+    edit = data.draw(st.sampled_from(["mutate", "truncate", "extend"]))
+    if edit == "mutate":
+        for _ in range(data.draw(st.integers(1, 4))):
+            raw[data.draw(st.integers(0, len(raw) - 1))] = data.draw(st.integers(0, 255))
+    elif edit == "truncate":
+        raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+    else:
+        raw += data.draw(st.binary(min_size=1, max_size=24))
+    path = tmp_path / "book.vqcb"
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.1 0.2 0.3 0.4\n"))
+    with np.errstate(over="ignore"):  # finite entries near the float limit overflow their squared distances
+        assert main(["quantize", "--codebook", str(path)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err

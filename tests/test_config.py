@@ -193,3 +193,43 @@ def test_site_checked_against_the_kind_architecture(kind, site):
 def test_tuple_elements_must_be_integers(raw):
     with pytest.raises(ConfigError, match="task.ood_objects"):
         config_from_dict({"kind": "gridworld", "task": {"ood_objects": raw}})
+
+
+def test_every_kind_has_a_rule_table_and_every_rule_names_a_field():
+    from vqcomm.config import FIELD_RULES, KINDS
+
+    assert set(FIELD_RULES) == set(KINDS)
+    default = ExperimentConfig()
+    for rules in FIELD_RULES.values():
+        for section, keys in rules.items():
+            for key in keys:
+                assert hasattr(getattr(default, section), key), f"{section}.{key}"
+
+
+@pytest.mark.parametrize("kind", ["adding", "gridworld", "transformer-toy", "gaussian-analysis", "bounds", "hoeffding"])
+def test_negative_seed_rejected_for_every_kind(kind):
+    with pytest.raises(ConfigError, match="seed"):
+        config_from_dict({"kind": kind, "seed": -1})
+
+
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"kind": "adding", "training": {"optimizer": "rmsprop"}}, "training.optimizer"),
+        ({"kind": "gridworld", "task": {"ood_objects": "3,0"}}, "task.ood_objects"),
+        ({"kind": "gaussian-analysis", "task": {"G_values": "1,3"}}, "task.G_values"),
+        ({"kind": "gaussian-analysis", "task": {"G_values": "1,0"}}, "task.G_values"),
+    ],
+    ids=["optimizer", "zero_ood_object", "G_not_dividing_m", "zero_G"],
+)
+def test_field_rules_name_the_field(data, field):
+    # the optimizer used to be rejected only after the data and the model were built, and a G that does
+    # not divide gaussian_m only after the variance rows of the earlier G values were computed
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(data)
+
+
+def test_quantizer_width_must_split_into_heads_only_when_quantizing():
+    with pytest.raises(ConfigError, match="quantizer.G"):
+        config_from_dict({"kind": "adding", "quantizer": {"discretize": True, "site": "raw_input"}})
+    config_from_dict({"kind": "adding", "quantizer": {"site": "raw_input"}})

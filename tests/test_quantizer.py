@@ -252,6 +252,14 @@ def test_default_beta():
     assert QuantizerConfig(L=4, G=2, m=4).beta == 0.25
 
 
+@pytest.mark.parametrize("key", ["beta", "codebook_loss_weight"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+def test_loss_weights_must_be_finite_and_positive(key, value):
+    # a NaN weight passed a `<= 0` test and turned every training loss into NaN
+    with pytest.raises(ValueError, match=key):
+        QuantizerConfig(L=4, G=2, m=4, **{key: value})
+
+
 # ---------------------------------------------------------------------------
 # k-means
 # ---------------------------------------------------------------------------
