@@ -435,7 +435,7 @@ def cross_entropy(logits, targets) -> Tensor:
 
     def backward(g):
         if logits.requires_grad:
-            p = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+            p = softmax_rows(logits.data)
             p[np.arange(n), t] -= 1.0
             _accum(logits, g * p / n)
 

@@ -74,10 +74,7 @@ def input_attention_scores(model: RimModel, state: Tensor, x_t: Tensor) -> np.nd
     scale = 1.0 / math.sqrt(model.att_dim)
     logit_x = (q * k_x[:, None, :]).sum(axis=-1) * scale
     logit_null = (q * k_null[None, None, :]).sum(axis=-1) * scale
-    stacked = np.stack([logit_x, logit_null], axis=-1)
-    stacked -= stacked.max(axis=-1, keepdims=True)
-    e = np.exp(stacked)
-    return e[..., 0] / e.sum(axis=-1)  # (B, M)
+    return ad.softmax_rows(np.stack([logit_x, logit_null], axis=-1))[..., 0]  # (B, M)
 
 
 def top_k_mask(scores: np.ndarray, k: int) -> np.ndarray:

@@ -1,10 +1,12 @@
-"""SGD and Adam over Parameter lists."""
+"""SGD and Adam over Parameter lists, and the one training step every model takes."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import autodiff as ad
 from .nn import Parameter
+from .quantizer import combined_aux_loss
 
 
 class MissingGradient(RuntimeError):
@@ -35,6 +37,38 @@ def clip_global_norm(params: list[Parameter], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= factor
     return norm
+
+
+def train_step(loss_fn, batch, quantizer, params: list[Parameter], opt, grad_clip: float, where: str):
+    """Forward, backward and optimizer step on one batch.
+
+    ``loss_fn(batch)`` returns the task loss; the snaps of its forward are
+    taken from ``quantizer`` (None for an unquantized model) and their
+    codebook and commitment losses join it. Gradients are clipped to joint
+    norm ``grad_clip`` when it is positive. A non-finite loss raises
+    ``FloatingPointError`` naming ``where`` before any parameter moves.
+
+    Returns the task, codebook, commitment and total losses as floats and
+    the code indices of each snap. Nothing else leaves the call, so the
+    batch's graph is gone before the next batch's forward starts.
+    """
+    task_loss = loss_fn(batch)
+    qouts = quantizer.take_outputs() if quantizer is not None else []
+    loss = task_loss
+    cb = cm = 0.0
+    if qouts:
+        loss = ad.add(loss, combined_aux_loss(qouts, quantizer.config))
+        cb = float(np.mean([q.codebook_loss.item() for q in qouts]))
+        cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
+    if not np.isfinite(loss.data):
+        raise FloatingPointError(f"non-finite training loss {loss.item()} at {where}")
+    opt.zero_grad()
+    ad.backward(loss)
+    fill_missing_grads(params)
+    if grad_clip > 0:
+        clip_global_norm(params, grad_clip)
+    opt.step()
+    return task_loss.item(), cb, cm, loss.item(), [q.indices for q in qouts]
 
 
 class SGD:

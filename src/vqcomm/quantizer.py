@@ -343,7 +343,10 @@ def load_codebook(path) -> tuple[Codebook, QuantizerConfig]:
         raise ValueError(f"{path}: not a codebook file (magic {magic!r})")
     if version != BINARY_VERSION:
         raise ValueError(f"{path}: unsupported codebook version {version}")
-    config = QuantizerConfig(L=L, G=G, m=m, beta=beta, codebook_loss_weight=weight)
+    try:
+        config = QuantizerConfig(L=L, G=G, m=m, beta=beta, codebook_loss_weight=weight)
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from e
     payload = L * config.d * 8
     if len(raw) - head_size != payload:
         raise ValueError(

@@ -8,11 +8,13 @@ wall time are bit-reproducible.
 from __future__ import annotations
 
 import ctypes
+import json
 import logging
 import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,18 +27,10 @@ from .models.common import CommunicationQuantizer, ConfigError
 from .models.gnn import ContrastiveWorldModel
 from .models.rim import RimModel, RimRegressor
 from .nn import Parameter
-from .optim import OPTIMIZERS, clip_global_norm, fill_missing_grads
-from .quantizer import QuantizerConfig, codebook_stats, combined_aux_loss, save_codebook, usage_counts
+from .optim import OPTIMIZERS, train_step
+from .quantizer import QuantizerConfig, codebook_stats, save_codebook, usage_counts
 from .seeding import stream_rng
-from .tasks import (
-    encode_actions,
-    encode_positions,
-    gen_adding,
-    gen_gridworld_episodes,
-    hits_at_k,
-    mrr,
-    rank_next_state,
-)
+from .tasks import gen_adding, gen_copy_batch, gen_gridworld_episodes, hits_at_k, mrr, rank_next_state
 from . import __version__
 
 log = logging.getLogger("vqcomm")
@@ -132,9 +126,7 @@ def dumps_json(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, str):
-        import json as _json
-
-        return _json.dumps(obj)
+        return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -225,51 +217,30 @@ class _EpochAccumulator:
         }
 
 
-def _train_step(config: ExperimentConfig, quantizer, params, opt, loss_fn, batch, where: str):
-    """Forward, backward and optimizer step on one batch.
-
-    Returns the task, codebook, commitment and total losses as floats and
-    the code indices of each snap. Nothing else leaves the call, so the
-    batch's graph is gone before the next batch's forward starts.
-    """
-    task_loss = loss_fn(batch)
-    qouts = quantizer.take_outputs() if quantizer is not None else []
-    loss = task_loss
-    cb = cm = 0.0
-    if qouts:
-        loss = ad.add(loss, combined_aux_loss(qouts, quantizer.config))
-        cb = float(np.mean([q.codebook_loss.item() for q in qouts]))
-        cm = float(np.mean([q.commitment_loss.item() for q in qouts]))
-    if not np.isfinite(loss.data):
-        raise FloatingPointError(f"non-finite training loss {loss.item()} at {where}")
-    opt.zero_grad()
-    ad.backward(loss)
-    fill_missing_grads(params)
-    if config.training.grad_clip > 0:
-        clip_global_norm(params, config.training.grad_clip)
-    opt.step()
-    return task_loss.item(), cb, cm, loss.item(), [q.indices for q in qouts]
-
-
-def _train_loop(config: ExperimentConfig, quantizer, params, count: int, loss_fn):
-    """Generic epoch loop: warmup/collect, k-means init, then quantized training.
+def _train_loop(config: ExperimentConfig, quantizer, model, count: int, loss_fn, splits: dict, evaluate) -> RunRecord:
+    """Train ``model``, evaluate it on every split and build the run record.
 
     Each epoch shuffles the ``count`` training examples into batches of
-    indices; ``loss_fn(idx)`` returns the task loss Tensor, and the snaps of
-    its forward are taken from the quantizer. Returns per-epoch metric rows.
+    indices, and ``optim.train_step`` runs ``loss_fn(idx)`` on each. The
+    first epoch is the quantizer's warmup (identity, collecting); k-means
+    seeds the codebook at its end. Under ``_evaluation``, the ``final``
+    block maps each split name to ``evaluate(*arrays)`` of its arrays.
     """
+    params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
     opt = OPTIMIZERS[config.training.optimizer](params, lr=config.training.lr)
     train_rng = stream_rng(config.seed, "training")
-    rows = []
+    epochs = []
     for epoch in range(config.training.epochs):
         acc = _EpochAccumulator(L=quantizer.config.L if quantizer is not None else None)
         for i, batch in enumerate(_shuffled_batches(count, config.training.batch_size, train_rng)):
-            acc.add(*_train_step(config, quantizer, params, opt, loss_fn, batch, f"epoch {epoch}, batch {i}"))
-        # warmup (identity quantizer, collecting) lasts the first epoch
+            where = f"epoch {epoch}, batch {i}"
+            acc.add(*train_step(loss_fn, batch, quantizer, params, opt, config.training.grad_clip, where))
         if quantizer is not None and not quantizer.active:
             quantizer.initialize(seed=stream_rng(config.seed, "codebook"))
-        rows.append(acc.row(epoch))
-    return rows
+        epochs.append(acc.row(epoch))
+    with _evaluation(quantizer, params):
+        final = {name: evaluate(*data) for name, data in splits.items()}
+    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
 
 
 @contextmanager
@@ -300,12 +271,6 @@ def _shuffled_batches(count: int, batch_size: int, rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 
-def _adding_arrays(samples):
-    inputs = np.stack([s.inputs for s in samples])
-    targets = np.array([[s.target] for s in samples])
-    return inputs, targets
-
-
 def _eval_adding(regressor, inputs, targets) -> float:
     pred = regressor(inputs)
     return float(((pred.data - targets) ** 2).mean())
@@ -314,7 +279,7 @@ def _eval_adding(regressor, inputs, targets) -> float:
 def run_adding(config: ExperimentConfig) -> RunRecord:
     t = config.task
     data_rng = stream_rng(config.seed, "data")
-    train_set = gen_adding(t.train_count, t.seq_len, t.train_gap, data_rng, t.max_value)
+    train_inputs, train_targets = gen_adding(t.train_count, t.seq_len, t.train_gap, data_rng, t.max_value)
     eval_rng = stream_rng(config.seed, "evaluation")
     splits = {
         "in_dist": gen_adding(t.eval_count, t.seq_len, t.train_gap, eval_rng, t.max_value),
@@ -334,31 +299,19 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
         site=config.quantizer.site,
     )
     regressor = RimRegressor(init_rng, model)
-    params = regressor.parameters() + ([quantizer.codebook.entries] if quantizer else [])
-
-    train_inputs, train_targets = _adding_arrays(train_set)
 
     def loss_fn(idx):
         return ad.mse(regressor(train_inputs[idx]), Tensor(train_targets[idx]))
 
-    epochs = _train_loop(config, quantizer, params, len(train_set), loss_fn)
-    with _evaluation(quantizer, params):
-        final = {
-            name: {"loss": _eval_adding(regressor, *_adding_arrays(samples))} for name, samples in splits.items()
-        }
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
+    def evaluate(inputs, targets):
+        return {"loss": _eval_adding(regressor, inputs, targets)}
+
+    return _train_loop(config, quantizer, regressor, len(train_inputs), loss_fn, splits, evaluate)
 
 
 # ---------------------------------------------------------------------------
 # grid world (GNN)
 # ---------------------------------------------------------------------------
-
-
-def _gridworld_arrays(transitions, grid_size):
-    obs = np.stack([encode_positions(t.positions, grid_size) for t in transitions])
-    nxt = np.stack([encode_positions(t.next_positions, grid_size) for t in transitions])
-    act = np.stack([encode_actions(t.actions) for t in transitions])
-    return obs, act, nxt
 
 
 def _eval_gridworld(model, obs, act, nxt) -> dict:
@@ -373,9 +326,8 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
     t = config.task
     data_rng = stream_rng(config.seed, "data")
     episodes = max(1, t.train_transitions // t.episode_steps)
-    train_set = gen_gridworld_episodes(t.train_objects, t.grid_size, t.episode_steps, episodes, data_rng)[
-        : t.train_transitions
-    ]
+    train = gen_gridworld_episodes(t.train_objects, t.grid_size, t.episode_steps, episodes, data_rng)
+    obs, act, nxt = (a[: t.train_transitions] for a in train)
     eval_rng = stream_rng(config.seed, "evaluation")
     eval_eps = max(1, t.eval_transitions // t.episode_steps)
     splits = {"in_dist": gen_gridworld_episodes(t.train_objects, t.grid_size, t.episode_steps, eval_eps, eval_rng)}
@@ -394,33 +346,17 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
         quantizer=quantizer,
         site=config.quantizer.site,
     )
-    params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
-    obs, act, nxt = _gridworld_arrays(train_set, t.grid_size)
 
     def loss_fn(idx):
         neg = np.roll(idx, 1)
         return model.contrastive_loss(obs[idx], act[idx], nxt[idx], obs[neg])
 
-    epochs = _train_loop(config, quantizer, params, len(train_set), loss_fn)
-    with _evaluation(quantizer, params):
-        final = {
-            name: _eval_gridworld(model, *_gridworld_arrays(trans, t.grid_size)) for name, trans in splits.items()
-        }
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
+    return _train_loop(config, quantizer, model, len(obs), loss_fn, splits, partial(_eval_gridworld, model))
 
 
 # ---------------------------------------------------------------------------
 # transformer toy task
 # ---------------------------------------------------------------------------
-
-
-def _gen_copy_batch(rng, count, length, vocab):
-    """Position 0 is the readout slot; one marked position holds the target."""
-    tokens = rng.integers(0, vocab, size=(count, length))
-    tokens[:, 0] = vocab  # readout token
-    marks = rng.integers(1, length, size=count)
-    labels = tokens[np.arange(count), marks]
-    return tokens, marks, labels
 
 
 def _eval_transformer(model, tokens, marks, labels) -> dict:
@@ -433,11 +369,11 @@ def _eval_transformer(model, tokens, marks, labels) -> dict:
 def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
     t = config.task
     data_rng = stream_rng(config.seed, "data")
-    train_tokens, train_marks, train_labels = _gen_copy_batch(data_rng, t.train_count, t.train_len, t.vocab)
+    train_tokens, train_marks, train_labels = gen_copy_batch(data_rng, t.train_count, t.train_len, t.vocab)
     eval_rng = stream_rng(config.seed, "evaluation")
     splits = {
-        "in_dist": _gen_copy_batch(eval_rng, t.eval_count, t.train_len, t.vocab),
-        "ood_test": _gen_copy_batch(eval_rng, t.eval_count, min(t.test_len, t.max_len), t.vocab),
+        "in_dist": gen_copy_batch(eval_rng, t.eval_count, t.train_len, t.vocab),
+        "ood_test": gen_copy_batch(eval_rng, t.eval_count, min(t.test_len, t.max_len), t.vocab),
     }
     init_rng = stream_rng(config.seed, "init")
     quantizer = _build_quantizer(config)
@@ -450,15 +386,11 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
         max_len=t.max_len,
         quantizer=quantizer,
     )
-    params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
 
     def loss_fn(idx):
         return ad.cross_entropy(model(train_tokens[idx], train_marks[idx]), train_labels[idx])
 
-    epochs = _train_loop(config, quantizer, params, len(train_tokens), loss_fn)
-    with _evaluation(quantizer, params):
-        final = {name: _eval_transformer(model, *data) for name, data in splits.items()}
-    return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
+    return _train_loop(config, quantizer, model, len(train_tokens), loss_fn, splits, partial(_eval_transformer, model))
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Two task families: summing two marked values in a sequence padded with
 dummy gap tokens (the OOD knob is the gap length), and a grid world where
 pushed objects move unless blocked by a wall or another object (the OOD
-knob is the object count). Plus HITS@k / MRR ranking metrics.
+knob is the object count). Plus the transformer's copy task and HITS@k /
+MRR ranking metrics. Every generator returns the arrays the models take.
 """
 
 from __future__ import annotations
@@ -27,51 +28,34 @@ _MOVES = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class AddingSample:
-    """(value, marker) sequence whose target is the sum of marked values."""
-
-    values: np.ndarray  # (T,), zeros beyond seq_len
-    markers: np.ndarray  # (T,), two ones among the first seq_len entries
-    target: float
-    gap_len: int
-
-    @property
-    def inputs(self) -> np.ndarray:
-        return np.stack([self.values, self.markers], axis=1)
-
-
 def gen_adding(
     count: int,
     seq_len: int,
     gap_len: int,
     seed: int | np.random.Generator,
     max_value: float = 1.0,
-) -> list[AddingSample]:
-    """Sequences of uniform values with two marked positions and a dummy tail."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sequences of uniform values with two marked positions and a dummy tail.
+
+    Returns ``inputs`` (count, seq_len + gap_len, 2), a (value, marker) pair
+    per step with both zero over the gap, and ``targets`` (count, 1), the sum
+    of each sequence's marked values.
+    """
     if seq_len < 1:
         raise ValueError(f"seq_len must be positive, got {seq_len}")
     if gap_len < 0:
         raise ValueError(f"gap_len must be non-negative, got {gap_len}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    samples = []
     n_marks = 2 if seq_len >= 2 else 1
-    T = seq_len + gap_len
-    for _ in range(count):
-        values = np.zeros(T)
-        markers = np.zeros(T)
-        values[:seq_len] = rng.uniform(0.0, max_value, size=seq_len)
+    inputs = np.zeros((count, seq_len + gap_len, 2))
+    targets = np.zeros((count, 1))
+    for i in range(count):
+        values = rng.uniform(0.0, max_value, size=seq_len)
         marked = rng.choice(seq_len, size=n_marks, replace=False)
-        markers[marked] = 1.0
-        samples.append(
-            AddingSample(
-                values=values,
-                markers=markers,
-                target=float(values[marked].sum()),
-                gap_len=gap_len,
-            )
-        )
-    return samples
+        inputs[i, :seq_len, 0] = values
+        inputs[i, marked, 1] = 1.0
+        targets[i, 0] = values[marked].sum()
+    return inputs, targets
 
 
 # ---------------------------------------------------------------------------
@@ -120,42 +104,42 @@ def gridworld_transition(state: GridWorldState) -> list[tuple[int, int]]:
     return pos
 
 
-@dataclass
-class GridWorldTransition:
-    positions: list[tuple[int, int]]
-    actions: list[str]
-    next_positions: list[tuple[int, int]]
-
-
 def gen_gridworld_episodes(
     num_objects: int,
     grid_size: int,
     steps: int,
     episodes: int,
     seed: int | np.random.Generator,
-) -> list[GridWorldTransition]:
-    """Random rollouts: per step one random object is pushed in a random direction."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Random rollouts: per step one random object is pushed in a random direction.
+
+    Returns ``(obs, act, nxt)`` over the ``episodes * steps`` transitions:
+    the positions before each step and after it, each (count, num_objects, 2)
+    through ``encode_positions``, and the actions, (count, num_objects, 5)
+    through ``encode_actions``.
+    """
     if num_objects > grid_size * grid_size:
         raise ValueError(f"cannot place {num_objects} objects on a {grid_size}x{grid_size} grid")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    transitions = []
+    before, actions, after = [], [], []
     cells = grid_size * grid_size
     for _ in range(episodes):
         flat = rng.choice(cells, size=num_objects, replace=False)
         positions = [(int(p) // grid_size, int(p) % grid_size) for p in flat]
         for _ in range(steps):
-            actions = ["none"] * num_objects
+            step_actions = ["none"] * num_objects
             mover = int(rng.integers(num_objects))
-            actions[mover] = DIRECTIONS[int(rng.integers(4))]
-            state = GridWorldState(grid_size=grid_size, positions=positions, actions=actions)
-            next_positions = gridworld_transition(state)
-            transitions.append(
-                GridWorldTransition(
-                    positions=list(positions), actions=actions, next_positions=next_positions
-                )
-            )
-            positions = next_positions
-    return transitions
+            step_actions[mover] = DIRECTIONS[int(rng.integers(4))]
+            before.append(positions)
+            actions.append(step_actions)
+            positions = gridworld_transition(GridWorldState(grid_size, positions, step_actions))
+            after.append(positions)
+    shape = (len(before), num_objects)
+    return (
+        encode_positions(before, grid_size).reshape(*shape, 2),
+        encode_actions(actions).reshape(*shape, len(DIRECTIONS)),
+        encode_positions(after, grid_size).reshape(*shape, 2),
+    )
 
 
 def encode_positions(positions, grid_size: int) -> np.ndarray:
@@ -165,11 +149,20 @@ def encode_positions(positions, grid_size: int) -> np.ndarray:
 
 
 def encode_actions(actions) -> np.ndarray:
-    """One-hot over the five push directions, per object."""
-    out = np.zeros((len(actions), len(DIRECTIONS)))
-    for i, a in enumerate(actions):
-        out[i, DIRECTIONS.index(a)] = 1.0
-    return out
+    """One-hot over the five push directions, per direction name (any nesting)."""
+    return np.eye(len(DIRECTIONS))[np.vectorize(DIRECTIONS.index, otypes=[np.intp])(actions)]
+
+
+def gen_copy_batch(rng: np.random.Generator, count: int, length: int, vocab: int):
+    """Copy task for the transformer: ``(tokens, marks, labels)``.
+
+    Position 0 is the readout slot; one marked position holds the target.
+    """
+    tokens = rng.integers(0, vocab, size=(count, length))
+    tokens[:, 0] = vocab  # readout token
+    marks = rng.integers(1, length, size=count)
+    labels = tokens[np.arange(count), marks]
+    return tokens, marks, labels
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .models.common import CommunicationQuantizer, ConfigError, snap_site
 from .nn import Parameter
-from .optim import Adam, fill_missing_grads
-from .quantizer import Codebook, QuantizerConfig, combined_aux_loss, kmeans_init, nearest_indices
+from .optim import Adam, train_step
+from .quantizer import Codebook, QuantizerConfig, kmeans_init, nearest_indices
 from .seeding import keyed_rng
 
 _MAX_ENUMERABLE_CELLS = 4096
@@ -84,13 +84,19 @@ def _sqrt_ratio_logspace(log_lead: float, rest: float, n: int) -> float:
     return math.exp(log_val)
 
 
+def _L_d_term(inputs: BoundInputs) -> float:
+    """sqrt(L_d^(2/rho) / n); where L_d^(2/rho) overflows, the equal L_d^(1/rho) / sqrt(n)."""
+    try:
+        return math.sqrt(inputs.L_d ** (2.0 / inputs.rho) / inputs.n)
+    except OverflowError:
+        return inputs.L_d ** (1.0 / inputs.rho) / math.sqrt(inputs.n)
+
+
 def covering_bound_with(inputs: BoundInputs) -> float:
     """C_J sqrt((4 L^G + 2 L m + 2 zeta + 2 ln(1/delta)) / n) + sqrt(L_d^(2/rho) / n)."""
     log_lead = math.log(4.0) + inputs.G * math.log(inputs.L)
     rest = 2.0 * inputs.L * inputs.m + 2.0 * inputs.zeta + 2.0 * math.log(1.0 / inputs.delta)
-    first = inputs.C_J * _sqrt_ratio_logspace(log_lead, rest, inputs.n)
-    second = math.sqrt(inputs.L_d ** (2.0 / inputs.rho) / inputs.n)
-    return first + second
+    return inputs.C_J * _sqrt_ratio_logspace(log_lead, rest, inputs.n) + _L_d_term(inputs)
 
 
 def covering_bound_without(inputs: BoundInputs) -> float:
@@ -98,8 +104,7 @@ def covering_bound_without(inputs: BoundInputs) -> float:
     log_lead = math.log(4.0) + inputs.m * math.log(4.0 * math.sqrt(inputs.m))
     rest = 2.0 * inputs.zeta + 2.0 * math.log(1.0 / inputs.delta)
     first = inputs.C_J * _sqrt_ratio_logspace(log_lead, rest, inputs.n)
-    second = math.sqrt(inputs.L_d ** (2.0 / inputs.rho) / inputs.n)
-    return first + second + inputs.varsigma_bar * inputs.R_H
+    return first + _L_d_term(inputs) + inputs.varsigma_bar * inputs.R_H
 
 
 # ---------------------------------------------------------------------------
@@ -298,20 +303,15 @@ def attention_robustness(
             (items.shape[0], items.shape[1]),
         )
 
+    def loss_fn(data):
+        items, labels = data
+        return ad.cross_entropy(forward(items), labels)
+
     data_rng = keyed_rng(seed, 1)
-    for _ in range(steps):
-        items, labels = make_batch(data_rng, batch, train_distractors)
-        loss = ad.cross_entropy(forward(items), labels)
-        if quantizer is not None:
-            q_outs = quantizer.take_outputs()
-            if q_outs:
-                loss = ad.add(loss, combined_aux_loss(q_outs, quantizer.config))
-            if not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
-                quantizer.initialize(seed=keyed_rng(seed, 2))
-        opt.zero_grad()
-        ad.backward(loss)
-        fill_missing_grads(params)
-        opt.step()
+    for step in range(steps):
+        train_step(loss_fn, make_batch(data_rng, batch, train_distractors), quantizer, params, opt, 0.0, f"step {step}")
+        if quantizer is not None and not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
+            quantizer.initialize(seed=keyed_rng(seed, 2))
 
     eval_rng = keyed_rng(seed, 3)
     items, labels = make_batch(eval_rng, eval_episodes, test_distractors)

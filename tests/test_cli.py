@@ -314,6 +314,12 @@ def test_malformed_json_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+def test_huge_L_d_gives_finite_bounds_row(capsys):
+    assert main(["bounds", "--L-d", "1e300"]) == 0
+    row = json.loads(capsys.readouterr().out)
+    assert row["covering_with"] == pytest.approx(1e298) and row["covering_without"] == pytest.approx(1e298)
+
+
 def test_bad_bound_inputs_are_config_error():
     assert main(["bounds", "--delta", "2"]) == 2
 
@@ -503,9 +509,23 @@ def test_non_finite_codebook_file_is_config_error(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr(sys, "stdin", io.StringIO("0.1 0.2 0.3 0.4\n"))
     assert main(["quantize", "--codebook", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and what in err
-    if what == "entry":
-        assert str(path) in err
+    assert "config error" in err and what in err and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "offset, value, what",
+    [(8, 0, "codebook size must be positive"), (12, 3, "not divisible by 3")],
+    ids=["zero_L", "G_not_dividing_m"],
+)
+def test_bad_codebook_header_is_config_error_naming_the_file(tmp_path, monkeypatch, capsys, offset, value, what):
+    raw = bytearray(_vqcb_bytes(tmp_path))
+    struct.pack_into("<I", raw, offset, value)
+    path = tmp_path / "book.vqcb"
+    path.write_bytes(bytes(raw))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("0.1 0.2 0.3 0.4\n"))
+    assert main(["quantize", "--codebook", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and what in err and str(path) in err
 
 
 def _table_fields(kind):

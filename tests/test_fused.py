@@ -559,9 +559,7 @@ def test_rim_backward_tape_stays_small():
     quantizer.codebook.set_entries(rng.normal(size=(q.L, qcfg.d)))
     model = RimModel(rng, 2, m.hidden, m.modules, m.k, m.att_dim, quantizer=quantizer)
     regressor = RimRegressor(rng, model)
-    samples = gen_adding(2, t.seq_len, t.train_gap, rng)
-    inputs = np.stack([s.inputs for s in samples])
-    targets = np.array([[s.target] for s in samples])
+    inputs, targets = gen_adding(2, t.seq_len, t.train_gap, rng)
     pred = regressor(inputs)
     qouts = quantizer.take_outputs()
     assert len(qouts) == t.seq_len + t.train_gap

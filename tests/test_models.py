@@ -387,11 +387,13 @@ def test_rim_communication_rows_sum_to_one(monkeypatch):
         weights.append(softmax_rows(x))
         return weights[-1]
 
-    # the communication attention is the step's one softmax over an array
+    # a step takes two softmaxes over arrays: the input attention (real
+    # input versus null, per module), then the communication attention
     monkeypatch.setattr(ad, "softmax_rows", recording_softmax_rows)
     rim_step(model.init_state(5), Tensor(rng.normal(size=(5, 2))), model)
-    assert len(weights) == 1 and weights[0].shape == (5, 4, 4)
-    assert np.max(np.abs(weights[0].sum(axis=-1) - 1.0)) < 1e-12
+    assert [w.shape for w in weights] == [(5, 4, 2), (5, 4, 4)]
+    for w in weights:
+        assert np.max(np.abs(w.sum(axis=-1) - 1.0)) < 1e-12
 
 
 def test_rim_recurrent_update_site_matches_variant_oracle():

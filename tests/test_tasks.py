@@ -24,40 +24,43 @@ from oracles import gridworld_step_reference, rank_by_sort
 # ---------------------------------------------------------------------------
 
 
+def test_adding_arrays_have_model_shapes():
+    inputs, targets = gen_adding(7, seq_len=10, gap_len=5, seed=0)
+    assert inputs.shape == (7, 15, 2) and targets.shape == (7, 1)
+    assert inputs.dtype == targets.dtype == np.float64
+
+
 def test_adding_target_is_sum_of_marked():
-    for sample in gen_adding(100, seq_len=10, gap_len=5, seed=0):
-        marked = sample.values[sample.markers == 1.0]
+    inputs, targets = gen_adding(100, seq_len=10, gap_len=5, seed=0)
+    for x, target in zip(inputs, targets[:, 0]):
+        marked = x[x[:, 1] == 1.0, 0]
         assert len(marked) == 2
-        assert sample.target == float(marked.sum())
+        assert target == float(marked.sum())
 
 
 def test_adding_all_zero_values_target_zero():
-    samples = gen_adding(10, seq_len=5, gap_len=2, seed=1, max_value=0.0)
-    for s in samples:
-        assert s.target == 0.0
+    _, targets = gen_adding(10, seq_len=5, gap_len=2, seed=1, max_value=0.0)
+    assert np.all(targets == 0.0)
 
 
 def test_adding_gap_tokens_are_blank():
-    for s in gen_adding(20, seq_len=8, gap_len=6, seed=2):
-        assert np.all(s.values[8:] == 0.0)
-        assert np.all(s.markers[8:] == 0.0)
-        assert len(s.values) == 14
+    inputs, _ = gen_adding(20, seq_len=8, gap_len=6, seed=2)
+    assert inputs.shape[1] == 14
+    assert np.all(inputs[:, 8:] == 0.0)
 
 
 def test_adding_brute_force_resummation():
-    samples = gen_adding(10_000, seq_len=20, gap_len=3, seed=3)
-    for s in samples:
-        expect = sum(v for v, m in zip(s.values, s.markers) if m == 1.0)
-        assert s.target == expect
+    inputs, targets = gen_adding(10_000, seq_len=20, gap_len=3, seed=3)
+    for x, target in zip(inputs, targets[:, 0]):
+        expect = sum(v for v, m in x if m == 1.0)
+        assert target == expect
 
 
 def test_adding_deterministic_per_seed():
     a = gen_adding(50, seq_len=12, gap_len=4, seed=42)
     b = gen_adding(50, seq_len=12, gap_len=4, seed=42)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.values, y.values)
-        assert np.array_equal(x.markers, y.markers)
-        assert x.target == y.target
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_adding_rejects_bad_lengths():
@@ -106,14 +109,37 @@ def test_fully_packed_grid_never_moves():
         assert gridworld_transition(state) == positions
 
 
+def _decode(obs, act, grid_size):
+    """Integer (row, col) positions and direction names back from the encoded arrays."""
+    positions = np.rint(obs * (grid_size - 1)).astype(int)
+    names = [[DIRECTIONS[j] for j in row] for row in act.argmax(axis=-1)]
+    return positions, names
+
+
 def test_episode_generation_preserves_invariants():
-    transitions = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=20, episodes=50, seed=0)
-    assert len(transitions) == 1000
-    for t in transitions:
-        for pos in (t.positions, t.next_positions):
-            assert len(set(pos)) == len(pos)
-            for r, c in pos:
-                assert 0 <= r < 5 and 0 <= c < 5
+    obs, act, nxt = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=20, episodes=50, seed=0)
+    assert obs.shape == nxt.shape == (1000, 5, 2) and act.shape == (1000, 5, 5)
+    assert np.all(act.sum(axis=-1) == 1.0)
+    for enc in (obs, nxt):
+        pos, _ = _decode(enc, act, 5)
+        assert np.array_equal(encode_positions(pos, 5), enc)  # on the grid, exactly
+        for p in pos:
+            assert len({tuple(x) for x in p}) == len(p)
+            assert np.all((0 <= p) & (p < 5))
+
+
+def test_episode_transitions_match_push_rule_oracle():
+    grid_size = 4
+    obs, act, nxt = gen_gridworld_episodes(num_objects=4, grid_size=grid_size, steps=15, episodes=40, seed=7)
+    positions, actions = _decode(obs, act, grid_size)
+    after, _ = _decode(nxt, act, grid_size)
+    moved = 0
+    for pos, acts, nxt_pos in zip(positions, actions, after):
+        expect = gridworld_step_reference(grid_size, [tuple(p) for p in pos], acts)
+        assert [tuple(p) for p in nxt_pos] == expect
+        assert sum(a != "none" for a in acts) == 1
+        moved += not np.array_equal(pos, nxt_pos)
+    assert 0 < moved < len(obs)  # both free and blocked pushes occur
 
 
 def test_episode_generation_rejects_overpacking():
@@ -149,6 +175,10 @@ def test_encoders():
     assert one_hot.shape == (2, 5)
     assert one_hot[0].tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert one_hot[1].tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
+    assert encode_actions([["up", "none"], ["left", "up"]]).shape == (2, 2, 5)
+    assert np.array_equal(encode_actions([["up", "none"]])[0], one_hot)
+    with pytest.raises(ValueError):
+        encode_actions(["sideways"])
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +235,14 @@ def test_rank_matches_sort_oracle():
 def test_ood_split_differs_only_in_declared_knob():
     # adding: split configs share everything except the gap knob
     train_kwargs = dict(count=8, seq_len=6, seed=3, max_value=1.0)
-    train = gen_adding(gap_len=4, **train_kwargs)
-    ood = gen_adding(gap_len=9, **train_kwargs)
-    assert {len(s.values) - s.gap_len for s in train} == {6}
-    assert {len(s.values) - s.gap_len for s in ood} == {6}
-    assert {s.gap_len for s in train} == {4}
-    assert {s.gap_len for s in ood} == {9}
+    train, _ = gen_adding(gap_len=4, **train_kwargs)
+    ood, _ = gen_adding(gap_len=9, **train_kwargs)
+    assert train.shape == (8, 10, 2) and ood.shape == (8, 15, 2)
+    # the marked values sit in the first seq_len steps; the gap tail is blank
+    assert np.array_equal(train[:, :6], ood[:, :6])
+    assert not train[:, 6:].any() and not ood[:, 6:].any()
     # grid world: only the object count changes
     a = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=3, episodes=2, seed=1)
     b = gen_gridworld_episodes(num_objects=2, grid_size=5, steps=3, episodes=2, seed=1)
-    assert {len(t.positions) for t in a} == {5}
-    assert {len(t.positions) for t in b} == {2}
+    assert [x.shape[:2] for x in a] == [(6, 5)] * 3
+    assert [x.shape[:2] for x in b] == [(6, 2)] * 3

@@ -130,6 +130,15 @@ def test_covering_bound_zero_L_d_drops_term():
     assert abs((b - a) - math.sqrt(1.0 / 100)) < 1e-12
 
 
+def test_covering_bound_huge_L_d_is_finite():
+    # L_d^(2/rho) overflows a float; the term is L_d^(1/rho) / sqrt(n)
+    inputs = BoundInputs(L=2, G=2, m=4, zeta=10, n=100, L_d=1e300)
+    term = covering_bound_with(inputs) - covering_bound_with(BoundInputs(L=2, G=2, m=4, zeta=10, n=100, L_d=0.0))
+    assert math.isfinite(term) and term == pytest.approx(1e299, rel=1e-12)
+    got = covering_bound_without(BoundInputs(m=4, zeta=10, n=100, L_d=1e300, rho=3))
+    assert got == pytest.approx(1e100 / 10, rel=1e-12)
+
+
 def test_covering_bound_without_logspace_no_overflow():
     got = covering_bound_without(BoundInputs(m=400, zeta=1, n=100, delta=0.05))
     assert got == math.inf or got > 1e100
@@ -274,6 +283,12 @@ def test_attention_discretized_at_least_continuous_sample():
         cont = attention_robustness(2, 8, quantize_on=False, seed=seed)
         wins += disc["accuracy"] >= cont["accuracy"]
     assert wins >= 2
+
+
+def test_attention_non_finite_loss_raises():
+    # an infinite step size makes the query non-finite after one step
+    with np.errstate(all="ignore"), pytest.raises(FloatingPointError, match="non-finite training loss nan at step 1"):
+        attention_robustness(2, 8, False, seed=0, lr=float("inf"))
 
 
 def test_attention_kmeans_seeds_on_the_freshest_warmup_heads(monkeypatch):
