@@ -14,6 +14,7 @@ from ..quantizer import (
     gumbel_quantize,
     kmeans_init,
     quantize,
+    usage_counts,
 )
 
 VALID_SITES = {
@@ -43,8 +44,10 @@ class CommunicationQuantizer:
 
     Lifecycle: ``collecting`` passes vectors through unchanged while caching
     them for k-means; after ``initialize()`` every ``apply`` call snaps its
-    input through the codebook. The quantizer keeps the output of each snap
-    whose losses are on the tape, until ``take_outputs()`` hands them over.
+    input through the codebook, to the nearest code whenever the entries are
+    frozen (a frozen gumbel quantizer trains nothing, so samples nothing).
+    It keeps the output of each snap whose losses are on the tape until
+    ``take_outputs()``, and counts every snap's codes until ``take_usage()``.
     """
 
     def __init__(
@@ -66,10 +69,10 @@ class CommunicationQuantizer:
         self.temperature = float(temperature)
         self.warmup_vectors = int(warmup_vectors)
         self.rng = rng
-        self.hard = False  # gumbel only: argmax codes at evaluation
         self._reservoir = np.zeros((0, config.d))
         self._collected_count = 0
         self._outputs: list[QuantizationOutput] = []
+        self._usage = np.zeros(config.L, dtype=np.int64)
 
     @property
     def active(self) -> bool:
@@ -84,12 +87,11 @@ class CommunicationQuantizer:
             self._reservoir = np.concatenate([self._reservoir, rows])[-self.warmup_vectors :]
             self._collected_count += rows.shape[0]
             return h
-        if self.method == "vq":
+        if self.method == "vq" or not self.codebook.entries.requires_grad:
             out = quantize(h, self.config, self.codebook)
-        elif self.hard:  # gumbel at evaluation: deterministic argmax, no sampling
-            out = gumbel_quantize(h, self.config, self.codebook, self.temperature, noise=0.0, hard=True)
         else:
             out = gumbel_quantize(h, self.config, self.codebook, self.temperature, rng=self.rng)
+        self._usage += usage_counts(out.indices, self.config.L)
         if out.codebook_loss.requires_grad or out.commitment_loss.requires_grad:
             self._outputs.append(out)  # a frozen forward keeps nothing
         return out.z
@@ -98,6 +100,11 @@ class CommunicationQuantizer:
         """The kept snap outputs in snap order; the quantizer forgets them."""
         outputs, self._outputs = self._outputs, []
         return outputs
+
+    def take_usage(self) -> np.ndarray:
+        """Codes picked (length L) by the snaps since the last call; the count restarts at zero."""
+        usage, self._usage = self._usage, np.zeros_like(self._usage)
+        return usage
 
     def initialize(self, seed: int | np.random.Generator = 0) -> None:
         """Run k-means over the collected warmup vectors and enable quantization."""

@@ -48,9 +48,9 @@ def train_step(loss_fn, batch, quantizer, params: list[Parameter], opt, grad_cli
     norm ``grad_clip`` when it is positive. A non-finite loss raises
     ``FloatingPointError`` naming ``where`` before any parameter moves.
 
-    Returns the task, codebook, commitment and total losses as floats and
-    the code indices of each snap. Nothing else leaves the call, so the
-    batch's graph is gone before the next batch's forward starts.
+    Returns the task, codebook, commitment and total losses as floats.
+    Nothing else leaves the call, so the batch's graph is gone before the
+    next batch's forward starts.
     """
     task_loss = loss_fn(batch)
     qouts = quantizer.take_outputs() if quantizer is not None else []
@@ -68,7 +68,7 @@ def train_step(loss_fn, batch, quantizer, params: list[Parameter], opt, grad_cli
     if grad_clip > 0:
         clip_global_norm(params, grad_clip)
     opt.step()
-    return task_loss.item(), cb, cm, loss.item(), [q.indices for q in qouts]
+    return task_loss.item(), cb, cm, loss.item()
 
 
 class SGD:

@@ -186,15 +186,12 @@ def gumbel_quantize(
     codebook: Codebook,
     temperature: float,
     rng: np.random.Generator | None = None,
-    hard: bool = False,
     noise: np.ndarray | None = None,
 ) -> QuantizationOutput:
     """Gumbel-Softmax relaxation: per head, sample a convex combination of codes.
 
-    Logits are negative squared distances to the codes. With ``hard`` the
-    sample is snapped to the argmax code with a straight-through gradient
-    onto the soft mixture. Losses are computed against the argmax code,
-    exactly as in ``quantize``.
+    Logits are negative squared distances to the codes. Losses are computed
+    against the argmax code of the perturbed logits, exactly as in ``quantize``.
     """
     if temperature <= 0:
         raise ValueError(f"temperature must be positive, got {temperature}")
@@ -213,8 +210,6 @@ def gumbel_quantize(
     z = ad.reshape(ad.matmul(y, codebook.entries), h.shape)
 
     idx0 = (logits.data + noise).argmax(axis=-1)
-    if hard:
-        z = ad.straight_through(z, codebook.entries.data[idx0].reshape(h.shape))
     return _snap_output(h, z, idx0, config, codebook)
 
 

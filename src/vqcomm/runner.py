@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -26,9 +25,8 @@ from .models.attention import TransformerClassifier
 from .models.common import CommunicationQuantizer, ConfigError
 from .models.gnn import ContrastiveWorldModel
 from .models.rim import RimModel, RimRegressor
-from .nn import Parameter
 from .optim import OPTIMIZERS, train_step
-from .quantizer import QuantizerConfig, codebook_stats, save_codebook, usage_counts
+from .quantizer import QuantizerConfig, codebook_stats, save_codebook
 from .seeding import stream_rng
 from .tasks import gen_adding, gen_copy_batch, gen_gridworld_episodes, hits_at_k, mrr, rank_next_state
 from . import __version__
@@ -181,32 +179,27 @@ def _build_quantizer(config: ExperimentConfig) -> CommunicationQuantizer | None:
 
 @dataclass
 class _EpochAccumulator:
-    """Running epoch sums. Code usage goes straight into a histogram, so the
-    epoch holds no quantization output (nor the graph behind it)."""
+    """Running sums of the four losses over an epoch's batches."""
 
-    L: int | None = None
     task: float = 0.0
     codebook: float = 0.0
     commitment: float = 0.0
     total: float = 0.0
     batches: int = 0
-    usage: np.ndarray | None = None  # None until a quantized batch arrives
 
-    def add(self, task_loss, cb, cm, total, indices):
+    def add(self, task_loss, cb, cm, total):
         self.task += task_loss
         self.codebook += cb
         self.commitment += cm
         self.total += total
         self.batches += 1
-        for idx in indices:
-            counts = usage_counts(idx, self.L)
-            self.usage = counts if self.usage is None else self.usage + counts
 
-    def row(self, epoch: int) -> dict:
+    def row(self, epoch: int, usage: np.ndarray | None) -> dict:
+        """The mean losses and the perplexity of ``usage``, the codes the epoch picked (None if none)."""
         b = max(self.batches, 1)
         perplexity = None
-        if self.usage is not None:
-            perplexity = codebook_stats(self.usage).perplexity
+        if usage is not None and usage.any():
+            perplexity = codebook_stats(usage).perplexity
         return {
             "epoch": epoch,
             "task_loss": self.task / b,
@@ -223,41 +216,26 @@ def _train_loop(config: ExperimentConfig, quantizer, model, count: int, loss_fn,
     Each epoch shuffles the ``count`` training examples into batches of
     indices, and ``optim.train_step`` runs ``loss_fn(idx)`` on each. The
     first epoch is the quantizer's warmup (identity, collecting); k-means
-    seeds the codebook at its end. Under ``_evaluation``, the ``final``
-    block maps each split name to ``evaluate(*arrays)`` of its arrays.
+    seeds the codebook at its end. Under ``ad.no_grad`` over ``params``,
+    the ``final`` block maps each split name to ``evaluate(*arrays)`` of
+    its arrays.
     """
     params = model.parameters() + ([quantizer.codebook.entries] if quantizer else [])
     opt = OPTIMIZERS[config.training.optimizer](params, lr=config.training.lr)
     train_rng = stream_rng(config.seed, "training")
     epochs = []
     for epoch in range(config.training.epochs):
-        acc = _EpochAccumulator(L=quantizer.config.L if quantizer is not None else None)
+        acc = _EpochAccumulator()
         for i, batch in enumerate(_shuffled_batches(count, config.training.batch_size, train_rng)):
             where = f"epoch {epoch}, batch {i}"
             acc.add(*train_step(loss_fn, batch, quantizer, params, opt, config.training.grad_clip, where))
+        usage = quantizer.take_usage() if quantizer is not None else None
         if quantizer is not None and not quantizer.active:
             quantizer.initialize(seed=stream_rng(config.seed, "codebook"))
-        epochs.append(acc.row(epoch))
-    with _evaluation(quantizer, params):
+        epochs.append(acc.row(epoch, usage))
+    with ad.no_grad(params):
         final = {name: evaluate(*data) for name, data in splits.items()}
     return RunRecord(config=config.to_dict(), epochs=epochs, final=final, wall_time=0.0, quantizer=quantizer)
-
-
-@contextmanager
-def _evaluation(quantizer: CommunicationQuantizer | None, params: list[Parameter]):
-    """Evaluation mode for the block: the forward builds no tape over
-    ``params`` (model parameters and codebook entries), and a gumbel
-    quantizer snaps to its argmax code. Both are undone on exit, also
-    after an exception."""
-    with ad.no_grad(params):
-        if quantizer is None:
-            yield
-            return
-        hard, quantizer.hard = quantizer.hard, True
-        try:
-            yield
-        finally:
-            quantizer.hard = hard
 
 
 def _shuffled_batches(count: int, batch_size: int, rng: np.random.Generator):
@@ -535,10 +513,12 @@ def sweep(
     records, skipped, rows, cells = [], [], [], []
     if base.kind not in METRIC_COLUMNS:
         raise ConfigError(f"sweep supports training kinds, not {base.kind!r}")
+    if not base.quantizer.discretize:
+        raise ConfigError("sweep varies quantizer.L and quantizer.G, so it needs quantizer.discretize=true")
     m = quantizer_dim(base)
     for L in L_values:
         for G in G_values:
-            if base.quantizer.discretize and m % G != 0:
+            if m % G != 0:
                 msg = f"skipping L={L} G={G}: {m} not divisible by {G}"
                 log.warning(msg)
                 skipped.append({"L": L, "G": G, "reason": msg})

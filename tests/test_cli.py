@@ -481,6 +481,17 @@ def test_sweep_checks_every_cell_before_running_one(monkeypatch, capsys):
     assert ran == []
 
 
+def test_sweep_over_a_baseline_is_config_error(monkeypatch, capsys):
+    """Without quantization the L and G a sweep varies do nothing: it used to
+    run every cell and label identical runs with them."""
+    ran = []
+    monkeypatch.setattr(runner, "run", ran.append)
+    args = _tiny_run("adding", "quantizer.discretize=false")[1:]
+    assert main(["sweep", *args, "--L", "2,4", "--G", "1,2", "--seeds", "0"]) == 2
+    assert "quantizer.discretize=true" in capsys.readouterr().err
+    assert ran == []
+
+
 def _vqcb_bytes(tmp_path, L=4, G=2, m=4) -> bytes:
     path = tmp_path / "valid.vqcb"
     save_codebook(path, Codebook(L, m // G, entries=np.arange(L * m // G).reshape(L, -1) / 4.0, initialized=True),

@@ -20,7 +20,7 @@ from vqcomm.models import (
     transformer_forward,
 )
 from vqcomm.models.rim import input_attention_scores, top_k_mask
-from vqcomm.quantizer import QuantizerConfig
+from vqcomm.quantizer import QuantizerConfig, quantize
 
 from oracles import attention_reference
 
@@ -478,6 +478,23 @@ def test_shared_codebook_identity_across_sites():
 def test_quantizer_rejects_empty_warmup_reservoir():
     with pytest.raises(ConfigError, match="warmup_vectors"):
         CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=0)
+
+
+def test_quantizer_counts_the_codes_of_every_snap():
+    rng = np.random.default_rng(9)
+    quantizer = CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=8)
+    h = rng.normal(size=(3, 4))
+    quantizer.apply(Tensor(h))  # collecting passes the vectors through and picks no code
+    assert quantizer.take_usage().tolist() == [0, 0, 0, 0]
+    quantizer.initialize(seed=0)
+    picked = quantize(Tensor(h), quantizer.config, quantizer.codebook).indices
+    quantizer.apply(Tensor(h))
+    with ad.no_grad([quantizer.codebook.entries]):
+        quantizer.apply(Tensor(h[:1]))
+    usage = quantizer.take_usage()
+    want = np.bincount(np.concatenate([picked.reshape(-1), picked[0]]) - 1, minlength=4)
+    assert usage.dtype == np.int64 and usage.tolist() == want.tolist()
+    assert quantizer.take_usage().tolist() == [0, 0, 0, 0]
 
 
 def test_small_reservoir_warns_of_duplicate_codes(caplog):

@@ -38,13 +38,18 @@ def _outputs(forward, quantizer=None):
     return (list(result) if isinstance(result, (list, tuple)) else [result]) + snapped
 
 
-def _assert_same_forward(forward, params, quantizer=None, reset=lambda: None):
-    reset()
+def _assert_same_forward(forward, params, quantizer=None, taped_method=None):
+    """The forward under ``ad.no_grad(params)`` equals the taped one and builds
+    no tape. With ``taped_method``, the quantizer runs the taped forward as
+    that method."""
+    method = quantizer.method if quantizer is not None else None
+    if taped_method is not None:
+        quantizer.method = taped_method
     plain = _outputs(forward, quantizer)
     assert any(t.requires_grad for t in plain)
     if quantizer is not None:  # a forward on the tape keeps every snap's output
         assert len(quantizer.take_outputs()) == len(plain) - 1
-    reset()
+        quantizer.method = method
     with ad.no_grad(params):
         frozen = _outputs(forward, quantizer)
     assert len(frozen) == len(plain)
@@ -59,17 +64,16 @@ def _assert_same_forward(forward, params, quantizer=None, reset=lambda: None):
 
 @pytest.mark.parametrize("method", ["vq", "gumbel"])
 def test_rim_regressor_forward_unchanged(method):
+    """Frozen, a gumbel quantizer snaps to the nearest code: its forward equals
+    the taped forward of a vq quantizer over the same codebook."""
     rng = np.random.default_rng(0)
     quantizer = _active_quantizer(rng, L=6, G=2, m=8, method=method)
+    quantizer.rng = np.random.default_rng(1)  # a frozen snap that sampled would draw from it
     model = RimModel(rng, input_dim=2, hidden=8, num_modules=3, k=2, att_dim=4, quantizer=quantizer)
     regressor = RimRegressor(rng, model)
     inputs = rng.normal(size=(5, 7, 2))
-
-    def reset():  # the gumbel noise stream must repeat between the two forwards
-        quantizer.rng = np.random.default_rng(1)
-
     params = regressor.parameters() + [quantizer.codebook.entries]
-    _assert_same_forward(lambda: regressor(inputs), params, quantizer, reset)
+    _assert_same_forward(lambda: regressor(inputs), params, quantizer, taped_method="vq")
 
 
 def test_world_model_forwards_unchanged():
@@ -121,6 +125,22 @@ def test_quantizer_keeps_outputs_only_when_a_loss_is_on_the_tape():
     assert quantizer.take_outputs() == []
 
 
+def test_frozen_gumbel_snaps_to_the_nearest_code_without_sampling():
+    rng = np.random.default_rng(7)
+    quantizer = _active_quantizer(rng, L=5, G=2, m=4, method="gumbel")
+    quantizer.rng = np.random.default_rng(8)
+    h = rng.normal(size=(6, 4))
+    want = quantize(Tensor(h), quantizer.config, quantizer.codebook)
+    state = quantizer.rng.bit_generator.state
+    with ad.no_grad([quantizer.codebook.entries]):
+        z = quantizer.apply(Tensor(h))
+    assert np.array_equal(z.data, want.z.data)
+    assert quantizer.rng.bit_generator.state == state
+    assert np.array_equal(quantizer.take_usage(), np.bincount(want.indices.reshape(-1) - 1, minlength=5))
+    quantizer.apply(Tensor(h))  # a training snap samples its codes
+    assert quantizer.rng.bit_generator.state != state
+
+
 def test_flags_restored_after_normal_exit():
     live = Parameter(np.ones(3))
     frozen = Tensor(np.ones(3))
@@ -150,7 +170,7 @@ def _eval_peak_mb(steps: int, quantized: bool = False) -> float:
     inputs, targets = rng.uniform(size=(128, steps, 2)), rng.uniform(size=(128, 1))
     tracemalloc.start()
     try:
-        with runner._evaluation(quantizer, params):
+        with ad.no_grad(params):
             runner._eval_adding(regressor, inputs, targets)
         return tracemalloc.get_traced_memory()[1] / 2**20
     finally:

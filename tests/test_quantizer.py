@@ -380,15 +380,6 @@ def test_gumbel_index_distribution_matches_softmax():
     assert np.max(np.abs(out_counts - probs)) < 0.01
 
 
-def test_gumbel_hard_snaps_to_codebook_row():
-    rng = np.random.default_rng(29)
-    book = _book(rng.normal(size=(3, 2)))
-    cfg = QuantizerConfig(L=3, G=2, m=4)
-    out = gumbel_quantize(Tensor(rng.normal(size=4)), cfg, book, temperature=1.0, rng=rng, hard=True)
-    for head, idx in enumerate(out.indices):
-        assert np.array_equal(out.z.data[head * 2 : (head + 1) * 2], book.entries.data[idx - 1])
-
-
 # ---------------------------------------------------------------------------
 # usage stats
 # ---------------------------------------------------------------------------
@@ -468,7 +459,7 @@ def test_non_finite_vector_is_not_snapped(bad):
     with pytest.raises(FloatingPointError):
         quantize(Tensor(h), WORKED_CFG, book)
     with pytest.raises(FloatingPointError):
-        gumbel_quantize(Tensor(h), WORKED_CFG, book, temperature=1.0, noise=0.0, hard=True)
+        gumbel_quantize(Tensor(h), WORKED_CFG, book, temperature=1.0, noise=0.0)
     with pytest.raises(FloatingPointError):
         nearest_indices(h[:2], book.entries.data)
 

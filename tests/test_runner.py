@@ -8,8 +8,9 @@ import pytest
 from vqcomm import autodiff
 from vqcomm import runner as runner_module
 from vqcomm.config import config_from_dict
+from vqcomm.models import common
 from vqcomm.models.common import ConfigError
-from vqcomm.models.rim import RimRegressor
+from vqcomm.quantizer import codebook_stats
 from vqcomm.runner import (
     EPOCH_COLUMNS,
     METRIC_COLUMNS,
@@ -322,22 +323,37 @@ def _capture_quantizer(monkeypatch, built):
     monkeypatch.setattr(runner_module, "_build_quantizer", capturing)
 
 
-def test_failed_gumbel_evaluation_restores_soft_sampling(monkeypatch):
-    """An exception in an evaluation forward leaves the quantizer sampling again."""
-    built = []
-    _capture_quantizer(monkeypatch, built)
-    original = RimRegressor.__call__
+@pytest.mark.parametrize("method", ["vq", "gumbel"])
+def test_epoch_perplexity_is_that_of_the_epochs_snaps(monkeypatch, method):
+    """Each epoch's perplexity is ``codebook_stats`` over the codes its training
+    snaps picked; the warmup epoch picks none and has no perplexity."""
+    epochs = []
+    shuffled = runner_module._shuffled_batches
 
-    def failing_in_evaluation(self, inputs):
-        if self.model.quantizer.hard:
-            raise RuntimeError("evaluation forward failed")
-        return original(self, inputs)
+    def marking(*args):
+        epochs.append([])
+        return shuffled(*args)
 
-    monkeypatch.setattr(RimRegressor, "__call__", failing_in_evaluation)
-    cfg = {**TINY_ADDING, "quantizer": {**TINY_ADDING["quantizer"], "method": "gumbel"}}
-    with pytest.raises(RuntimeError, match="evaluation forward failed"):
-        run(config_from_dict(cfg))
-    assert built[0].hard is False
+    monkeypatch.setattr(runner_module, "_shuffled_batches", marking)
+    for name in ("quantize", "gumbel_quantize"):
+
+        def recording(h, config, codebook, *args, original=getattr(common, name), **kwargs):
+            out = original(h, config, codebook, *args, **kwargs)
+            if codebook.entries.requires_grad:  # a training snap, not an evaluation one
+                epochs[-1].append(out.indices.reshape(-1))
+            return out
+
+        monkeypatch.setattr(common, name, recording)
+    cfg = {
+        **TINY_ADDING,
+        "training": {**TINY_ADDING["training"], "epochs": 3},
+        "quantizer": {**TINY_ADDING["quantizer"], "method": method},
+    }
+    record = run(config_from_dict(cfg))
+    assert epochs[0] == [] and record.epochs[0]["perplexity"] is None
+    for row, snaps in zip(record.epochs[1:], epochs[1:]):
+        usage = np.bincount(np.concatenate(snaps) - 1, minlength=4)
+        assert row["perplexity"] == codebook_stats(usage).perplexity
 
 
 def test_evaluation_builds_no_tape(monkeypatch):
@@ -348,11 +364,10 @@ def test_evaluation_builds_no_tape(monkeypatch):
 
     def recording(regressor, inputs, targets):
         frozen = regressor.parameters() + [built[0].codebook.entries]
-        seen.append((built[0].hard, any(p.requires_grad for p in frozen)))
+        seen.append(any(p.requires_grad for p in frozen))
         return original(regressor, inputs, targets)
 
     monkeypatch.setattr(runner_module, "_eval_adding", recording)
     run(config_from_dict(TINY_ADDING))
-    assert seen == [(True, False)] * 3
-    assert built[0].hard is False
+    assert seen == [False] * 3
     assert built[0].codebook.entries.requires_grad
