@@ -2,6 +2,7 @@
 displacement field, and attention retrieval robustness to novel distractors."""
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -21,9 +22,7 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    record = run(gaussian_analysis_config(args.seed))
-    emit_csv(f"{args.out}_variance.csv", record.final["variance"], ANALYSIS_COLUMNS["variance"])
-    emit_csv(f"{args.out}_attention.csv", record.final["attention"], ANALYSIS_COLUMNS["attention"])
+    record = run(dataclasses.replace(gaussian_analysis_config(args.seed), out=args.out))
 
     rng = np.random.default_rng(args.seed)
     book = Codebook(5, 2, entries=rng.normal(size=(5, 2)), initialized=True)
@@ -35,7 +34,7 @@ def main():
     disc = [r["accuracy"] for r in record.final["attention"] if r["quantized"]]
     cont = [r["accuracy"] for r in record.final["attention"] if not r["quantized"]]
     print(f"attention robustness: discretized {np.mean(disc):.3f} vs continuous {np.mean(cont):.3f}")
-    print(f"wrote {args.out}_variance.csv, {args.out}_attention.csv, {args.out}_field.csv")
+    print(f"wrote {args.out}.json, {args.out}_variance.csv, {args.out}_attention.csv, {args.out}_field.csv")
 
 
 if __name__ == "__main__":

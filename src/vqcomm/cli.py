@@ -1,14 +1,15 @@
 """Command-line interface.
 
-Subcommands: run, sweep, bounds, hoeffding, gaussian, vector-field,
-quantize. Exit codes: 0 success, 2 configuration error, 1 runtime failure.
+Subcommands: run, sweep, vector-field, quantize. ``run KIND --set
+section.key=value`` runs every experiment kind, the analyses (bounds,
+hoeffding, gaussian-analysis) included. Exit codes: 0 success, 2
+configuration error, 1 runtime failure.
 ``VQCOMM_LOG`` sets the log level (default WARNING).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import os
 import sys
@@ -33,14 +34,15 @@ def _build_config(args) -> ExperimentConfig:
         overrides["seed"] = args.seed
     if args.out:
         overrides["out"] = args.out
-    return load_config(args.config, overrides)
+    config = load_config(args.config, overrides)
+    directory = os.path.dirname(config.out)
+    if directory and not os.path.isdir(directory):  # checked before the run, not when its files are written
+        raise ConfigError(f"out: no directory {directory!r} to write {config.out!r} in")
+    return config
 
 
-def _add_config_flags(p: argparse.ArgumentParser, kind_positional: bool = False) -> None:
-    if kind_positional:
-        p.add_argument("kind", nargs="?", default=None, help="experiment kind")
-    else:
-        p.add_argument("--kind", default=None)
+def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("kind", nargs="?", default=None, help="experiment kind")
     p.add_argument("--config", default=None, help="key=value or JSON config file")
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override (repeatable)")
     p.add_argument("--seed", type=int, default=None)
@@ -55,7 +57,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _seed(args) -> int:
-    """The ``--seed`` of an analysis command; numpy's seed sequences take only seeds >= 0."""
+    """The ``--seed`` of ``vector-field``; numpy's seed sequences take only seeds >= 0."""
     if args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     return args.seed
@@ -77,44 +79,6 @@ def cmd_sweep(args) -> int:
     out = config.out or "sweep"
     runner.emit_sweep(out, config, rows, skipped)
     print(f"wrote {out}_sweep.csv ({len(rows)} rows, {len(skipped)} skipped)")
-    return 0
-
-
-def cmd_bounds(args) -> int:
-    inputs = theory.BoundInputs(**{f.name: getattr(args, f.name) for f in dataclasses.fields(theory.BoundInputs)})
-    row = runner.bounds_row(inputs)
-    if args.out:
-        runner.emit_csv(f"{args.out}_bounds.csv", [row], runner.ANALYSIS_COLUMNS["bounds"])
-        print(f"wrote {args.out}_bounds.csv")
-    else:
-        print(runner.dumps_json(row))
-    return 0
-
-
-def cmd_hoeffding(args) -> int:
-    rec = theory.verify_hoeffding(
-        L=args.L, G=args.G, d=args.d, n=args.n, delta=args.delta, trials=args.trials, seed=_seed(args)
-    )
-    final = runner.hoeffding_final(rec)
-    summary = {key: final[key] for key in ("violation_rate", "bound", "cell_count")}
-    summary["max_gap"] = float(rec.gaps.max())
-    if args.out:
-        runner.emit_csv(f"{args.out}_hoeffding.csv", final["trials"], runner.ANALYSIS_COLUMNS["hoeffding"])
-        print(f"wrote {args.out}_hoeffding.csv")
-    print(runner.dumps_json(summary))
-    return 0
-
-
-def cmd_gaussian(args) -> int:
-    rows = theory.gaussian_variance_sweep(
-        args.m, _ints(args.L), _ints(args.G), samples=args.samples, trials=args.trials, seed=_seed(args)
-    )
-    if args.out:
-        runner.emit_csv(f"{args.out}_variance.csv", rows, runner.ANALYSIS_COLUMNS["variance"])
-        print(f"wrote {args.out}_variance.csv")
-    else:
-        for row in rows:
-            print(runner.dumps_json(row))
     return 0
 
 
@@ -167,52 +131,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="execute one experiment")
-    _add_config_flags(p, kind_positional=True)
+    _add_config_flags(p)
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="grid over codebook size and head count")
-    _add_config_flags(p, kind_positional=True)
+    _add_config_flags(p)
     p.add_argument("--L", default="16,64", help="comma-separated codebook sizes")
     p.add_argument("--G", default="1,8", help="comma-separated head counts")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.set_defaults(fn=cmd_sweep)
-
-    p = sub.add_parser("bounds", help="evaluate the closed-form bound calculators")
-    p.add_argument("--G", type=int, default=15)
-    p.add_argument("--L", type=int, default=30)
-    p.add_argument("--m", type=int, default=64)
-    p.add_argument("--n", type=int, default=10_000)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--varsigma-bar", dest="varsigma_bar", type=float, default=0.0)
-    p.add_argument("--R-H", dest="R_H", type=float, default=1.0)
-    p.add_argument("--zeta", type=float, default=100.0)
-    p.add_argument("--C-J", dest="C_J", type=float, default=1.0)
-    p.add_argument("--L-d", dest="L_d", type=float, default=1.0)
-    p.add_argument("--rho", type=int, default=1)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("hoeffding", help="Monte Carlo check of the concentration step")
-    p.add_argument("--L", type=int, default=4)
-    p.add_argument("--G", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_hoeffding)
-
-    p = sub.add_parser("gaussian", help="variance retained by quantized Gaussians")
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--L", default="1,8")
-    p.add_argument("--G", default="1,2,4,8")
-    p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_gaussian)
 
     p = sub.add_parser("vector-field", help="displacement field of 2-D snapping")
     p.add_argument("--codebook", default=None, help=".vqcb codebook file with 2-D codes")

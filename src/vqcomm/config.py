@@ -171,8 +171,9 @@ def _check_cross_fields(c: ExperimentConfig) -> None:
         raise ConfigError(f"task.train_objects/ood_objects: cannot place {most} objects on {t.grid_size**2} cells")
     if c.kind == "transformer-toy" and c.model.dim % c.model.heads:
         raise ConfigError(f"model.dim {c.model.dim} must be divisible by model.heads {c.model.heads}")
-    if c.kind == "transformer-toy" and t.max_len < t.train_len:
-        raise ConfigError(f"task.max_len {t.max_len} must be at least task.train_len {t.train_len}")
+    if c.kind == "transformer-toy" and t.max_len < max(t.train_len, t.test_len):
+        raise ConfigError(f"task.max_len {t.max_len} must be at least task.train_len {t.train_len} and "
+                          f"task.test_len {t.test_len}")
     if c.kind == "gaussian-analysis" and any(t.gaussian_m % G for G in t.G_values):
         raise ConfigError(f"task.G_values {t.G_values} must each divide task.gaussian_m {t.gaussian_m}")
 

@@ -77,12 +77,15 @@ def gnn_step(nodes: Tensor, actions: Tensor, model: GnnModel) -> Tensor:
     return model.f_node(ad.concat([nodes, actions, summed], axis=-1))
 
 
+CONTRAST_MARGIN = 1.0
+
+
 class ContrastiveWorldModel(Module):
     """Object encoder plus GNN transition, trained with a hinge contrast.
 
     Positive term pulls predicted next latents onto encoded next states;
     the hinge pushes encoded random (permuted-batch) states at least
-    ``margin`` away from the targets.
+    ``CONTRAST_MARGIN`` away from the targets.
     """
 
     def __init__(
@@ -93,7 +96,6 @@ class ContrastiveWorldModel(Module):
         action_dim: int,
         msg_dim: int,
         hidden: int = 32,
-        margin: float = 1.0,
         quantizer: CommunicationQuantizer | None = None,
         site: str = "communication_result",
     ):
@@ -107,7 +109,6 @@ class ContrastiveWorldModel(Module):
             quantizer=quantizer,
             site=site,
         )
-        self.margin = float(margin)
 
     def encode(self, obs: np.ndarray) -> Tensor:
         return self.encoder(Tensor(obs))
@@ -128,5 +129,5 @@ class ContrastiveWorldModel(Module):
         z_neg = self.encode(neg_obs)
         pos = ad.tmean(ad.sqdist(pred, z_next))
         neg = ad.tmean(ad.sqdist(z_neg, z_next))
-        hinge = ad.relu(ad.add(ad.scale(neg, -1.0), self.margin))
+        hinge = ad.relu(ad.add(ad.scale(neg, -1.0), CONTRAST_MARGIN))
         return ad.add(pos, hinge)

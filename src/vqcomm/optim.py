@@ -87,22 +87,15 @@ class SGD:
             p.zero_grad()
 
 
-class Adam:
-    """Adam with bias correction; defaults beta1=0.9, beta2=0.999, eps=1e-8."""
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
-    def __init__(
-        self,
-        params: list[Parameter],
-        lr: float,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+
+class Adam:
+    """Adam with bias correction and the usual ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``."""
+
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -112,7 +105,7 @@ class Adam:
             if p.grad is None:
                 raise MissingGradient(f"no gradient for parameter {p.name!r}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             m *= b1
@@ -121,7 +114,7 @@ class Adam:
             v += (1 - b2) * g * g
             m_hat = m / (1 - b1**self.t)
             v_hat = v / (1 - b2**self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -351,7 +351,7 @@ def run_transformer_toy(config: ExperimentConfig) -> RunRecord:
     eval_rng = stream_rng(config.seed, "evaluation")
     splits = {
         "in_dist": gen_copy_batch(eval_rng, t.eval_count, t.train_len, t.vocab),
-        "ood_test": gen_copy_batch(eval_rng, t.eval_count, min(t.test_len, t.max_len), t.vocab),
+        "ood_test": gen_copy_batch(eval_rng, t.eval_count, t.test_len, t.vocab),
     }
     init_rng = stream_rng(config.seed, "init")
     quantizer = _build_quantizer(config)
@@ -397,18 +397,8 @@ def run_gaussian_analysis(config: ExperimentConfig) -> RunRecord:
     return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
 
 
-def bounds_row(inputs: theory.BoundInputs) -> dict:
-    """The inputs and the four bound calculators, in ``ANALYSIS_COLUMNS["bounds"]`` order."""
-    return {
-        **{name: getattr(inputs, name) for name in _BOUND_INPUT_COLUMNS},
-        "bound_with": theory.bound_with_discretization(inputs),
-        "bound_without": theory.bound_without_discretization(inputs),
-        "covering_with": theory.covering_bound_with(inputs),
-        "covering_without": theory.covering_bound_without(inputs),
-    }
-
-
 def run_bounds(config: ExperimentConfig) -> RunRecord:
+    """The bound inputs and the four bound calculators, in ``ANALYSIS_COLUMNS["bounds"]`` order."""
     t = config.task
     q = config.quantizer
     inputs = theory.BoundInputs(
@@ -425,30 +415,29 @@ def run_bounds(config: ExperimentConfig) -> RunRecord:
         L_d=t.L_d,
         rho=t.rho,
     )
-    return RunRecord(config=config.to_dict(), epochs=[], final=bounds_row(inputs), wall_time=0.0)
-
-
-def hoeffding_final(rec: theory.TrialRecord) -> dict:
-    """One row per trial (``ANALYSIS_COLUMNS["hoeffding"]``) plus the summary."""
-    trials = [
-        {"trial": i, "gap": float(g), "bound": rec.bound, "violated": bool(v)}
-        for i, (g, v) in enumerate(zip(rec.gaps, rec.violated))
-    ]
-    return {
-        "trials": trials,
-        "violation_rate": rec.violation_rate,
-        "bound": rec.bound,
-        "cell_count": rec.cell_count,
+    final = {
+        **{name: getattr(inputs, name) for name in _BOUND_INPUT_COLUMNS},
+        "bound_with": theory.bound_with_discretization(inputs),
+        "bound_without": theory.bound_without_discretization(inputs),
+        "covering_with": theory.covering_bound_with(inputs),
+        "covering_without": theory.covering_bound_without(inputs),
     }
+    return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
 
 
 def run_hoeffding(config: ExperimentConfig) -> RunRecord:
+    """One row per trial (``ANALYSIS_COLUMNS["hoeffding"]``) plus the summary."""
     t = config.task
     q = config.quantizer
     rec = theory.verify_hoeffding(
         L=q.L, G=q.G, d=t.hoeffding_d, n=t.hoeffding_n, delta=t.delta, trials=t.hoeffding_trials, seed=config.seed
     )
-    return RunRecord(config=config.to_dict(), epochs=[], final=hoeffding_final(rec), wall_time=0.0)
+    trials = [
+        {"trial": i, "gap": float(g), "bound": rec.bound, "violated": bool(v)}
+        for i, (g, v) in enumerate(zip(rec.gaps, rec.violated))
+    ]
+    final = {"trials": trials, "violation_rate": rec.violation_rate, "bound": rec.bound, "cell_count": rec.cell_count}
+    return RunRecord(config=config.to_dict(), epochs=[], final=final, wall_time=0.0)
 
 
 _RUNNERS = {

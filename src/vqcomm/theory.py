@@ -25,6 +25,7 @@ from .seeding import keyed_rng
 _MAX_ENUMERABLE_CELLS = 4096
 _REF_MULTIPLIER = 100
 _LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+ATTENTION_DIM, ATTENTION_L, ATTENTION_G = 16, 16, 4  # the attention study's item width and quantizer
 
 
 @dataclass
@@ -257,33 +258,33 @@ def attention_robustness(
     test_distractors: int,
     quantize_on: bool,
     seed: int,
-    dim: int = 16,
-    L: int = 16,
-    G: int = 4,
     eval_episodes: int = 512,
     steps: int = 60,
     batch: int = 64,
     lr: float = 0.05,
     warmup_vectors: int = 256,
 ) -> dict:
-    """Train a single attention layer to retrieve a fixed target vector.
+    """Train a single ``ATTENTION_DIM``-wide attention layer to retrieve a fixed target vector.
 
     Items are the target plus fresh Gaussian distractors in random order; a
     learned query produces attention over items, and the (optionally
     quantized) attention output is matched against the items to pick one.
     Evaluation uses more, never-seen distractors.
 
-    With ``quantize_on`` the output goes through a ``CommunicationQuantizer``:
-    its codebook is seeded by k-means once ``warmup_vectors`` outputs (the
-    freshest ``warmup_vectors * G`` heads) have passed through unquantized.
+    With ``quantize_on`` the output goes through a ``CommunicationQuantizer``
+    with ``ATTENTION_L`` codes and ``ATTENTION_G`` heads: its codebook is
+    seeded by k-means once ``warmup_vectors`` outputs (the freshest
+    ``warmup_vectors * ATTENTION_G`` heads) have passed through unquantized.
     """
+    dim = ATTENTION_DIM
     rng = keyed_rng(seed, 0)
     target = rng.normal(size=dim)
     query = Parameter(rng.normal(size=(dim, 1)) * 0.1, name="attn.query")
     params = [query]
     quantizer = None
     if quantize_on:
-        quantizer = CommunicationQuantizer(QuantizerConfig(L=L, G=G, m=dim), warmup_vectors=warmup_vectors * G)
+        quantizer = CommunicationQuantizer(QuantizerConfig(L=ATTENTION_L, G=ATTENTION_G, m=dim),
+                                           warmup_vectors=warmup_vectors * ATTENTION_G)
         params.append(quantizer.codebook.entries)
     opt = Adam(params, lr=lr)
 

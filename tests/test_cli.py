@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from vqcomm import runner
 from vqcomm.autodiff import ShapeError
-from vqcomm.cli import main
+from vqcomm.cli import build_parser, main
 from vqcomm.config import FIELD_RULES, config_from_dict, parse_assignments
 from vqcomm.quantizer import Codebook, QuantizerConfig, load_codebook, nearest_indices, save_codebook
 
@@ -31,12 +33,6 @@ def _run(argv, stdin_text=None):
         text=True,
         env=env,
     )
-
-
-def test_bounds_subcommand_defaults():
-    result = _run(["bounds"])
-    assert result.returncode == 0
-    assert "0.052300497" in result.stdout
 
 
 def test_run_with_overrides_writes_files(tmp_path):
@@ -90,13 +86,16 @@ def test_config_error_exit_code_2(capsys):
 
 
 def test_hoeffding_subcommand():
-    result = _run(["hoeffding", "--n", "200", "--trials", "3", "--L", "4", "--G", "2"])
+    sets = ["quantizer.L=4", "quantizer.G=2", "task.hoeffding_n=200", "task.hoeffding_trials=3"]
+    result = _run(["run", "hoeffding", *(f"--set={s}" for s in sets)])
     assert result.returncode == 0
     assert "violation_rate" in result.stdout
 
 
 def test_gaussian_subcommand(tmp_path):
-    rc = main(["gaussian", "--m", "4", "--L", "1,4", "--G", "1,2", "--samples", "32", "--trials", "2", "--out", str(tmp_path / "g")])
+    sets = ["task.gaussian_m=4", "task.L_values=1,4", "task.G_values=1,2", "task.variance_samples=32",
+            "task.variance_trials=2", "task.attention_seeds=0"]
+    rc = main(["run", "gaussian-analysis", *(f"--set={s}" for s in sets), "--out", str(tmp_path / "g")])
     assert rc == 0
     lines = (tmp_path / "g_variance.csv").read_text().splitlines()
     assert lines[0] == "L,G,samples,trials,mean_total_variance,mean_raw_variance"
@@ -225,6 +224,30 @@ _TINY_ADDING_FLAGS = [
 ]
 
 
+# one small, fast, valid config per kind; the training kinds quantize, so fuzzed quantizer values are used
+_QUANTIZED = ["quantizer.discretize=true", "quantizer.L=4", "quantizer.G=2", "quantizer.warmup_vectors=8"]
+_TINY_RUNS = {
+    "adding": [*(s.removeprefix("--set=") for s in _TINY_ADDING_FLAGS), "task.val_gap=2", "task.test_gap=4",
+               *_QUANTIZED],
+    "gridworld": ["task.grid_size=3", "task.train_objects=3", "task.ood_objects=2", "task.episode_steps=2",
+                  "task.train_transitions=8", "task.eval_transitions=4", "model.node_dim=2", "model.msg_dim=4",
+                  "model.gnn_hidden=4", "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
+    "transformer-toy": ["task.train_count=8", "task.eval_count=4", "task.vocab=3", "task.train_len=6",
+                        "task.test_len=8", "task.max_len=8", "model.dim=4", "model.heads=2", "model.blocks=2",
+                        "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
+    "gaussian-analysis": ["task.gaussian_m=2", "task.L_values=1,2", "task.G_values=1,2", "task.variance_samples=8",
+                          "task.variance_trials=1", "task.attention_seeds=1", "task.train_distractors=1",
+                          "task.test_distractors=2"],
+    "bounds": [],
+    "hoeffding": ["quantizer.L=4", "quantizer.G=2", "task.hoeffding_n=50", "task.hoeffding_trials=2",
+                  "task.hoeffding_d=1"],
+}
+
+
+def _tiny_run(kind, *settings):
+    return ["run", kind, *(f"--set={s}" for s in [*_TINY_RUNS[kind], *settings])]
+
+
 @pytest.mark.parametrize(
     "setting",
     [
@@ -256,37 +279,33 @@ def test_quantized_run_without_epochs_is_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["gaussian", "--trials", "0"],
-        ["gaussian", "--samples", "0"],
-        ["gaussian", "--m", "0"],
-        ["gaussian", "--L", "0,8"],
-        ["gaussian", "--G", "0"],
-        ["hoeffding", "--trials", "0"],
-        ["hoeffding", "--d", "0"],
-        ["hoeffding", "--L", "0"],
+        _tiny_run("gaussian-analysis", "task.variance_trials=0"),
+        _tiny_run("gaussian-analysis", "task.variance_samples=0"),
+        _tiny_run("gaussian-analysis", "task.gaussian_m=0"),
+        _tiny_run("gaussian-analysis", "task.L_values=0,8"),
+        _tiny_run("gaussian-analysis", "task.G_values=0"),
+        _tiny_run("hoeffding", "task.hoeffding_trials=0"),
+        _tiny_run("hoeffding", "task.hoeffding_d=0"),
+        _tiny_run("hoeffding", "quantizer.L=0"),
         ["vector-field", "--L", "0"],
         ["vector-field", "--steps", "-1"],
         ["vector-field", "--steps", "0"],
         ["vector-field", "--range", "nan"],
         ["vector-field", "--range", "inf"],
-        ["bounds", "--zeta", "nan"],
-        ["bounds", "--C-J", "-1"],
+        _tiny_run("bounds", "task.C_J=-1"),
         ["run", "bounds", "--set", "task.zeta=nan"],
         ["run", "bounds", "--set", "task.zeta=-1"],
         ["run", "bounds", "--set", "task.C_J=nan"],
-        ["hoeffding", "--seed", "-1"],
-        ["gaussian", "--seed", "-1"],
         ["vector-field", "--seed", "-1"],
         ["run", "bounds", "--seed", "-1"],
-        ["hoeffding", "--n", "-1"],
-        ["hoeffding", "--G", "-1"],
+        _tiny_run("hoeffding", "task.hoeffding_n=-1"),
+        _tiny_run("hoeffding", "quantizer.G=-1"),
     ],
     ids=["gaussian-trials", "gaussian-samples", "gaussian-m", "gaussian-L", "gaussian-G", "hoeffding-trials",
          "hoeffding-d", "hoeffding-L", "vector-field-L", "vector-field-negative-steps", "vector-field-zero-steps",
-         "vector-field-nan-range", "vector-field-inf-range", "bounds-nan-zeta", "bounds-negative-C_J",
-         "run-bounds-nan-zeta", "run-bounds-negative-zeta", "run-bounds-nan-C_J", "hoeffding-negative-seed",
-         "gaussian-negative-seed", "vector-field-negative-seed", "run-bounds-negative-seed", "hoeffding-negative-n",
-         "hoeffding-negative-G"],
+         "vector-field-nan-range", "vector-field-inf-range", "bounds-negative-C_J", "run-bounds-nan-zeta",
+         "run-bounds-negative-zeta", "run-bounds-nan-C_J", "vector-field-negative-seed", "run-bounds-negative-seed",
+         "hoeffding-negative-n", "hoeffding-negative-G"],
 )
 def test_analysis_size_flags_are_config_errors(capsys, argv):
     assert main(argv) == 2
@@ -314,14 +333,55 @@ def test_malformed_json_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["bounds", "hoeffding", "gaussian"])
+def test_removed_analysis_commands_are_unknown(capsys, command):
+    """The analyses run only as ``run bounds|hoeffding|gaussian-analysis``."""
+    with pytest.raises(SystemExit) as exc:
+        main([command])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+def test_missing_out_directory_is_config_error_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before the output directory was checked")
+
+    monkeypatch.setattr(runner, "_train_loop", no_training)
+    out = str(tmp_path / "missing" / "toy")
+    assert main([*_tiny_run("adding"), "--out", out]) == 2
+    assert main(["sweep", *_tiny_run("adding")[1:], "--L", "4", "--G", "2", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("config error") == 2 and "missing" in err
+    assert not list(tmp_path.iterdir())
+
+
+def _readme_commands() -> list[str]:
+    """Every ``vqcomm`` command line in README.md's bash blocks, continuations joined and pipes cut."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            line = line.split("| ")[-1].strip()
+            if line.startswith("vqcomm "):
+                commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert {shlex.split(c)[1] for c in commands} == {"run", "sweep", "vector-field", "quantize"}
+    for command in commands:
+        build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
 def test_huge_L_d_gives_finite_bounds_row(capsys):
-    assert main(["bounds", "--L-d", "1e300"]) == 0
+    assert main(["run", "bounds", "--set", "task.L_d=1e300"]) == 0
     row = json.loads(capsys.readouterr().out)
     assert row["covering_with"] == pytest.approx(1e298) and row["covering_without"] == pytest.approx(1e298)
 
 
 def test_bad_bound_inputs_are_config_error():
-    assert main(["bounds", "--delta", "2"]) == 2
+    assert main(["run", "bounds", "--set", "task.delta=2"]) == 2
 
 
 @pytest.mark.parametrize(
@@ -336,26 +396,6 @@ def test_bad_bound_inputs_are_config_error():
 def test_bad_task_sizes_are_config_errors(argv, capsys):
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
-
-
-def test_bounds_command_row_equals_run_bounds_row(tmp_path):
-    flags = {"G": 3, "L": 7, "m": 12, "n": 500, "delta": 0.1, "alpha": 2.0, "varsigma-bar": 0.5, "R-H": 2.0,
-             "zeta": 3.0, "C-J": 1.5, "L-d": 2.0, "rho": 2}
-    keys = {"G": "quantizer.G", "L": "quantizer.L", "m": "task.bound_m", "n": "task.bound_n"}
-    argv = [f"--{flag}={value}" for flag, value in flags.items()]
-    sets = [f"--set={keys.get(flag, 'task.' + flag.replace('-', '_'))}={value}" for flag, value in flags.items()]
-    assert main(["bounds", *argv, "--out", str(tmp_path / "cli")]) == 0
-    assert main(["run", "bounds", *sets, "--out", str(tmp_path / "run")]) == 0
-    assert (tmp_path / "cli_bounds.csv").read_text() == (tmp_path / "run_bounds.csv").read_text()
-
-
-def test_hoeffding_command_rows_equal_run_hoeffding_rows(tmp_path, capsys):
-    argv = ["--L=3", "--G=2", "--d=1", "--n=300", "--delta=0.2", "--trials=20", "--seed=5"]
-    sets = ["--set=quantizer.L=3", "--set=quantizer.G=2", "--set=task.hoeffding_d=1", "--set=task.hoeffding_n=300",
-            "--set=task.delta=0.2", "--set=task.hoeffding_trials=20", "--seed=5"]
-    assert main(["hoeffding", *argv, "--out", str(tmp_path / "cli")]) == 0
-    assert main(["run", "hoeffding", *sets, "--out", str(tmp_path / "run")]) == 0
-    assert (tmp_path / "cli_hoeffding.csv").read_text() == (tmp_path / "run_hoeffding.csv").read_text()
 
 
 def test_run_writes_the_trained_codebook_for_quantize(tmp_path):
@@ -400,30 +440,6 @@ def test_bad_sites_and_tuple_values_are_config_errors(argv, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# one small, fast, valid config per kind; the training kinds quantize, so fuzzed quantizer values are used
-_QUANTIZED = ["quantizer.discretize=true", "quantizer.L=4", "quantizer.G=2", "quantizer.warmup_vectors=8"]
-_TINY_RUNS = {
-    "adding": [*(s.removeprefix("--set=") for s in _TINY_ADDING_FLAGS), "task.val_gap=2", "task.test_gap=4",
-               *_QUANTIZED],
-    "gridworld": ["task.grid_size=3", "task.train_objects=3", "task.ood_objects=2", "task.episode_steps=2",
-                  "task.train_transitions=8", "task.eval_transitions=4", "model.node_dim=2", "model.msg_dim=4",
-                  "model.gnn_hidden=4", "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
-    "transformer-toy": ["task.train_count=8", "task.eval_count=4", "task.vocab=3", "task.train_len=6",
-                        "task.test_len=8", "task.max_len=8", "model.dim=4", "model.heads=2", "model.blocks=2",
-                        "training.epochs=1", "training.batch_size=4", *_QUANTIZED],
-    "gaussian-analysis": ["task.gaussian_m=2", "task.L_values=1,2", "task.G_values=1,2", "task.variance_samples=8",
-                          "task.variance_trials=1", "task.attention_seeds=1", "task.train_distractors=1",
-                          "task.test_distractors=2"],
-    "bounds": [],
-    "hoeffding": ["quantizer.L=4", "quantizer.G=2", "task.hoeffding_n=50", "task.hoeffding_trials=2",
-                  "task.hoeffding_d=1"],
-}
-
-
-def _tiny_run(kind, *settings):
-    return ["run", kind, *(f"--set={s}" for s in [*_TINY_RUNS[kind], *settings])]
-
-
 @pytest.mark.parametrize("kind", sorted(_TINY_RUNS))
 def test_tiny_runs_succeed(kind, capsys):
     """The control for the cases below and for the config fuzz: each base config runs."""
@@ -457,6 +473,7 @@ def test_tiny_runs_succeed(kind, capsys):
         ("transformer-toy", "task.test_len=0"),
         ("transformer-toy", "task.max_len=0"),
         ("transformer-toy", "task.max_len=4"),
+        ("transformer-toy", "task.test_len=10"),
         ("transformer-toy", "model.dim=0"),
         ("transformer-toy", "model.blocks=0"),
         ("gaussian-analysis", "task.train_distractors=-1"),
