@@ -28,9 +28,10 @@ def _transformer(discretize: bool):
 
 RUNS = {
     **{name: (lambda w=w: w.configs(0)) for name, w in WORKLOADS.items()},
-    "adding-gumbel": lambda: [protocols.adding_config(0, True, method="gumbel")],
-    "adding-communication_input": lambda: [protocols.adding_config(0, True, site="communication_input")],
-    "adding-recurrent_update": lambda: [protocols.adding_config(0, True, site="recurrent_update")],
+    **{
+        f"adding-{arm}": (lambda arm=arm: [protocols.STUDIES["adding"].arms[arm](0)])
+        for arm in ("gumbel", "communication_input", "recurrent_update")
+    },
     "transformer-base": lambda: [_transformer(False)],
     "transformer-vq": lambda: [_transformer(True)],
 }

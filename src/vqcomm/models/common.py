@@ -106,7 +106,7 @@ class CommunicationQuantizer:
         usage, self._usage = self._usage, np.zeros_like(self._usage)
         return usage
 
-    def initialize(self, seed: int | np.random.Generator = 0) -> None:
+    def initialize(self, rng: np.random.Generator) -> None:
         """Run k-means over the collected warmup vectors and enable quantization."""
         if not len(self._reservoir):
             raise ConfigError("no vectors collected for codebook initialization")
@@ -117,7 +117,7 @@ class CommunicationQuantizer:
                 len(self._reservoir),
                 self.config.L,
             )
-        book = kmeans_init(self._reservoir, self.config.L, seed=seed)
+        book = kmeans_init(self._reservoir, self.config.L, rng=rng)
         self.codebook.set_entries(book.entries.data)
         self._reservoir = np.zeros((0, self.config.d))
 

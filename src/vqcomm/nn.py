@@ -75,17 +75,16 @@ class MLP(Module):
 
 
 def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor) -> Tensor:
-    """GRU step as one tape node: ``h' = (1 - z) * n + z * h``.
+    """One step of M GRU cells as one tape node: ``h' = (1 - z) * n + z * h``.
 
     Gates are ``[r, z, n]`` along the last axis of ``x @ w_x + b_x`` and
-    ``h @ w_h + b_h``. Weights may carry a leading module axis M; ``h`` is
-    then ``(B, M, H)`` and the output too, read through a module-first view
-    so that no transpose node sits on either side. The backward repeats,
-    op for op, the float order of the same cell built from elementwise tape
-    ops, so either form gives bit-identical gradients.
+    ``h @ w_h + b_h``. Weights carry a leading module axis M; ``h`` is
+    ``(B, M, H)`` and the output too, read through a module-first view so
+    that no transpose node sits on either side. The backward repeats, op for
+    op, the float order of the same cell built from elementwise tape ops, so
+    either form gives bit-identical gradients.
     """
-    stacked = w_h.ndim == 3
-    hm = np.swapaxes(h.data, 0, 1) if stacked else h.data  # (M, B, H) or (B, H)
+    hm = np.swapaxes(h.data, 0, 1)  # (M, B, H)
     gx = x.data @ w_x.data + b_x.data
     gh = hm @ w_h.data + b_h.data
     xr, xz, xn = np.split(gx, 3, axis=-1)
@@ -98,8 +97,7 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
     out = one_minus_z * n + z * hm
 
     def backward(g):
-        if stacked:
-            g = np.swapaxes(g, 0, 1)
+        g = np.swapaxes(g, 0, 1)
         dn = g * one_minus_z * (1.0 - n * n)
         dr = dn * hn * r * (1.0 - r)
         dz = (g * hm - g * n) * z * (1.0 - z)
@@ -108,15 +106,15 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
         if x.requires_grad:
             ad._accum(x, ad._unbroadcast(dgx @ np.swapaxes(w_x.data, -1, -2), x.shape))
         if h.requires_grad:
-            dh = ad._unbroadcast(dgh @ np.swapaxes(w_h.data, -1, -2), hm.shape) + g * z
-            ad._accum(h, np.swapaxes(dh, 0, 1) if stacked else dh)
+            dh = dgh @ np.swapaxes(w_h.data, -1, -2) + g * z
+            ad._accum(h, np.swapaxes(dh, 0, 1))
         for w, b, inp, dg in ((w_x, b_x, x.data, dgx), (w_h, b_h, hm, dgh)):
             if w.requires_grad:
                 ad._accum(w, ad._unbroadcast(np.swapaxes(inp, -1, -2) @ dg, w.shape))
             if b.requires_grad:
                 ad._accum(b, ad._unbroadcast(dg, b.shape))
 
-    return ad._node(np.swapaxes(out, 0, 1) if stacked else out, (h, x, w_x, w_h, b_x, b_h), backward)
+    return ad._node(np.swapaxes(out, 0, 1), (h, x, w_x, w_h, b_x, b_h), backward)
 
 
 class StackedGRU(Module):

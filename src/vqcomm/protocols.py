@@ -7,6 +7,10 @@ callers.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
 from .config import ExperimentConfig, config_from_dict
 
 
@@ -98,3 +102,36 @@ def hoeffding_config(seed: int = 0) -> ExperimentConfig:
             "task": {"hoeffding_d": 2, "hoeffding_n": 2000, "hoeffding_trials": 200, "delta": 0.05},
         }
     )
+
+
+@dataclass(frozen=True)
+class Study:
+    """A multi-seed OOD study: each arm maps a seed to its config; every run reports ``final[split][metric]``."""
+
+    arms: dict[str, Callable[[int], ExperimentConfig]]
+    seeds: int
+    split: str
+    metric: str
+
+
+STUDIES = {
+    # gap shift on the RIM: where to discretize, and VQ against Gumbel-Softmax selection
+    "adding": Study(
+        arms={
+            "baseline": partial(adding_config, discretize=False),
+            "communication_result": partial(adding_config, discretize=True),
+            "communication_input": partial(adding_config, discretize=True, site="communication_input"),
+            "recurrent_update": partial(adding_config, discretize=True, site="recurrent_update"),
+            "gumbel": partial(adding_config, discretize=True, method="gumbel"),
+        },
+        seeds=10, split="ood_test", metric="loss",
+    ),
+    # object-count shift on the GNN world model
+    "gridworld": Study(
+        arms={
+            "baseline": partial(gridworld_config, discretize=False),
+            "discretized": partial(gridworld_config, discretize=True),
+        },
+        seeds=5, split="ood_2", metric="hits_at_1",
+    ),
+}

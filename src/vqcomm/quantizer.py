@@ -296,14 +296,13 @@ def lloyd(samples: np.ndarray, L: int, iters: int, rng: np.random.Generator) -> 
 KMEANS_ITERS = 25
 
 
-def kmeans_init(samples: np.ndarray, L: int, seed: int | np.random.Generator = 0) -> Codebook:
+def kmeans_init(samples: np.ndarray, L: int, rng: np.random.Generator) -> Codebook:
     """Build an initialized codebook from ``KMEANS_ITERS`` rounds of Lloyd's algorithm over ``samples``."""
     if L <= 0:
         raise ValueError(f"codebook size must be positive, got {L}")
     samples = np.atleast_2d(np.asarray(samples, dtype=np.float64))
     if samples.shape[0] < 1:
         raise ValueError("kmeans_init needs at least one sample")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     centroids = lloyd(samples, L, KMEANS_ITERS, rng)
     return Codebook(L, samples.shape[1], entries=centroids, initialized=True)
 

@@ -231,7 +231,7 @@ def _train_loop(config: ExperimentConfig, quantizer, model, count: int, loss_fn,
             acc.add(*train_step(loss_fn, batch, quantizer, params, opt, config.training.grad_clip, where))
         usage = quantizer.take_usage() if quantizer is not None else None
         if quantizer is not None and not quantizer.active:
-            quantizer.initialize(seed=stream_rng(config.seed, "codebook"))
+            quantizer.initialize(stream_rng(config.seed, "codebook"))
         epochs.append(acc.row(epoch, usage))
     with ad.no_grad(params):
         final = {name: evaluate(*data) for name, data in splits.items()}

@@ -32,7 +32,7 @@ def gen_adding(
     count: int,
     seq_len: int,
     gap_len: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
     max_value: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sequences of uniform values with two marked positions and a dummy tail.
@@ -45,7 +45,6 @@ def gen_adding(
         raise ValueError(f"seq_len must be positive, got {seq_len}")
     if gap_len < 0:
         raise ValueError(f"gap_len must be non-negative, got {gap_len}")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n_marks = 2 if seq_len >= 2 else 1
     inputs = np.zeros((count, seq_len + gap_len, 2))
     targets = np.zeros((count, 1))
@@ -109,7 +108,7 @@ def gen_gridworld_episodes(
     grid_size: int,
     steps: int,
     episodes: int,
-    seed: int | np.random.Generator,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Random rollouts: per step one random object is pushed in a random direction.
 
@@ -120,7 +119,6 @@ def gen_gridworld_episodes(
     """
     if num_objects > grid_size * grid_size:
         raise ValueError(f"cannot place {num_objects} objects on a {grid_size}x{grid_size} grid")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     before, actions, after = [], [], []
     cells = grid_size * grid_size
     for _ in range(episodes):

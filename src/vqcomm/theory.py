@@ -199,7 +199,7 @@ def gaussian_variance_sweep(
             for t in range(trials):
                 rng = keyed_rng(seed, L, G, t)
                 x = rng.standard_normal((samples, m))
-                book = kmeans_init(x.reshape(samples * G, d), L, seed=rng)
+                book = kmeans_init(x.reshape(samples * G, d), L, rng)
                 idx = nearest_indices(x.reshape(samples, G, d), book.entries.data)
                 q = book.entries.data[idx].reshape(samples, m)
                 variances[t] = _total_variance(q)
@@ -312,7 +312,7 @@ def attention_robustness(
     for step in range(steps):
         train_step(loss_fn, make_batch(data_rng, batch, train_distractors), quantizer, params, opt, 0.0, f"step {step}")
         if quantizer is not None and not quantizer.active and quantizer.collected_count() >= quantizer.warmup_vectors:
-            quantizer.initialize(seed=keyed_rng(seed, 2))
+            quantizer.initialize(keyed_rng(seed, 2))
 
     eval_rng = keyed_rng(seed, 3)
     items, labels = make_batch(eval_rng, eval_episodes, test_distractors)

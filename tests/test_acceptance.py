@@ -15,7 +15,7 @@ from vqcomm import autodiff as ad
 from vqcomm.autodiff import Tensor
 from vqcomm.config import config_from_dict
 from vqcomm.models import CommunicationQuantizer
-from vqcomm.protocols import adding_config, gridworld_config, hoeffding_config
+from vqcomm.protocols import STUDIES, hoeffding_config
 from vqcomm.quantizer import Codebook, QuantizerConfig, combined_aux_loss, quantize
 from vqcomm.runner import run
 from vqcomm.tasks import DIRECTIONS, GridWorldState, gridworld_transition
@@ -33,6 +33,9 @@ from oracles import exhaustive_nearest, finite_difference_grads, gridworld_step_
 
 pytestmark = pytest.mark.acceptance
 
+ADDING = STUDIES["adding"].arms
+GRIDWORLD = STUDIES["gridworld"].arms
+
 
 def _announce(n: int, detail: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {detail}")
@@ -48,8 +51,8 @@ def adding_study():
     seeds = range(10)
     t0 = time.perf_counter()
     results = {
-        "baseline": [run(adding_config(s, discretize=False)).final for s in seeds],
-        "discretized": [run(adding_config(s, discretize=True)).final for s in seeds],
+        "baseline": [run(ADDING["baseline"](s)).final for s in seeds],
+        "discretized": [run(ADDING["communication_result"](s)).final for s in seeds],
     }
     results["seconds"] = time.perf_counter() - t0
     return results
@@ -59,12 +62,8 @@ def adding_study():
 def ablation_study():
     seeds = range(10)
     return {
-        "recurrent_update": [
-            run(adding_config(s, discretize=True, site="recurrent_update")).final for s in seeds
-        ],
-        "gumbel": [
-            run(adding_config(s, discretize=True, method="gumbel")).final for s in seeds
-        ],
+        "recurrent_update": [run(ADDING["recurrent_update"](s)).final for s in seeds],
+        "gumbel": [run(ADDING["gumbel"](s)).final for s in seeds],
     }
 
 
@@ -306,8 +305,8 @@ def test_criterion_9_gridworld_ood():
         assert gridworld_transition(state) == gridworld_step_reference(5, positions, actions)
 
     t0 = time.perf_counter()
-    base_runs = [run(gridworld_config(s, discretize=False)).final for s in range(5)]
-    disc_runs = [run(gridworld_config(s, discretize=True)).final for s in range(5)]
+    base_runs = [run(GRIDWORLD["baseline"](s)).final for s in range(5)]
+    disc_runs = [run(GRIDWORLD["discretized"](s)).final for s in range(5)]
     elapsed = time.perf_counter() - t0
     base = np.median([f["ood_2"]["hits_at_1"] for f in base_runs])
     disc = np.median([f["ood_2"]["hits_at_1"] for f in disc_runs])

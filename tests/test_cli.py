@@ -355,23 +355,30 @@ def test_missing_out_directory_is_config_error_before_any_work(tmp_path, monkeyp
     assert not list(tmp_path.iterdir())
 
 
-def _readme_commands() -> list[str]:
-    """Every ``vqcomm`` command line in README.md's bash blocks, continuations joined and pipes cut."""
+def _readme_commands(program: str) -> list[str]:
+    """Every ``program`` command line in README.md's bash blocks, continuations joined and pipes cut."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     commands = []
     for block in re.findall(r"```bash\n(.*?)```", text, flags=re.S):
         for line in block.replace("\\\n", " ").splitlines():
             line = line.split("| ")[-1].strip()
-            if line.startswith("vqcomm "):
+            if line.startswith(f"{program} "):
                 commands.append(line)
     return commands
 
 
 def test_readme_commands_parse():
-    commands = _readme_commands()
+    commands = _readme_commands("vqcomm")
     assert {shlex.split(c)[1] for c in commands} == {"run", "sweep", "vector-field", "quantize"}
     for command in commands:
         build_parser().parse_args(shlex.split(command, comments=True)[1:])
+
+
+def test_readme_script_lines_match_the_scripts():
+    """README's bash blocks name only scripts that exist, and every script in ``scripts/`` at least once."""
+    named = {shlex.split(c)[1] for c in _readme_commands("python3")}
+    root = Path(__file__).resolve().parents[1]
+    assert named == {p.relative_to(root).as_posix() for p in (root / "scripts").glob("*.py")}
 
 
 def test_huge_L_d_gives_finite_bounds_row(capsys):

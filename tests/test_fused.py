@@ -26,7 +26,7 @@ from vqcomm.models.rim import (
     rim_step,
     top_k_mask,
 )
-from vqcomm.nn import StackedGRU, gru_cell
+from vqcomm.nn import StackedGRU
 from vqcomm.protocols import adding_config
 from vqcomm.quantizer import (
     Codebook,
@@ -331,15 +331,14 @@ def test_combined_aux_loss_gradcheck():
 # ---------------------------------------------------------------------------
 
 
-def _gru_arrays(rng, stacked):
+def _gru_arrays(rng):
     M, B, d_in, H = 3, 4, 2, 5
-    lead = (M,) if stacked else ()
-    h = rng.uniform(-1, 1, size=(B, M, H) if stacked else (B, H))
+    h = rng.uniform(-1, 1, size=(B, M, H))
     x = rng.uniform(-1, 1, size=(B, d_in))
-    w_x = rng.normal(size=lead + (d_in, 3 * H))
-    w_h = rng.normal(size=lead + (H, 3 * H))
-    b_x = rng.normal(size=(M, 1, 3 * H) if stacked else (3 * H,))
-    b_h = rng.normal(size=(M, 1, 3 * H) if stacked else (3 * H,))
+    w_x = rng.normal(size=(M, d_in, 3 * H))
+    w_h = rng.normal(size=(M, H, 3 * H))
+    b_x = rng.normal(size=(M, 1, 3 * H))
+    b_h = rng.normal(size=(M, 1, 3 * H))
     return [h, x, w_x, w_h, b_x, b_h]
 
 
@@ -360,15 +359,13 @@ def _transposed_composite_gru(h, x, w_x, w_h, b_x, b_h):
     return ad.transpose(_composite_gru(ad.transpose(h, 0, 1), x, w_x, w_h, b_x, b_h), 0, 1)
 
 
-# "GRUCell": one unstacked cell, ``nn.gru_cell`` on 2-D weights
-@pytest.mark.parametrize("stacked", [True, False], ids=["StackedGRU", "GRUCell"])
-def test_gru_cell_matches_composite_graph(stacked):
+def test_gru_cell_matches_composite_graph():
     rng = np.random.default_rng(21)
-    fused = functools.partial(_fused_cell, StackedGRU(rng, 3, 2, 5)) if stacked else gru_cell
-    arrays = _gru_arrays(rng, stacked)
+    fused = functools.partial(_fused_cell, StackedGRU(rng, 3, 2, 5))
+    arrays = _gru_arrays(rng)
     weight = rng.normal(size=arrays[0].shape)
     out_f, grads_f = _cell_result(fused, arrays, weight)
-    out_c, grads_c = _cell_result(_transposed_composite_gru if stacked else _composite_gru, arrays, weight)
+    out_c, grads_c = _cell_result(_transposed_composite_gru, arrays, weight)
     _assert_same(out_f, out_c)
     for a, b in zip(grads_f, grads_c):
         _assert_same(a, b)
@@ -386,7 +383,7 @@ def test_stacked_gru_is_one_node():
 
 def test_stacked_gru_gradcheck():
     rng = np.random.default_rng(23)
-    arrays = _gru_arrays(rng, stacked=True)
+    arrays = _gru_arrays(rng)
     cell = functools.partial(_fused_cell, StackedGRU(rng, 3, 2, 5))
 
     def scalar(arrs):

@@ -486,7 +486,7 @@ def test_quantizer_counts_the_codes_of_every_snap():
     h = rng.normal(size=(3, 4))
     quantizer.apply(Tensor(h))  # collecting passes the vectors through and picks no code
     assert quantizer.take_usage().tolist() == [0, 0, 0, 0]
-    quantizer.initialize(seed=0)
+    quantizer.initialize(rng=np.random.default_rng(0))
     picked = quantize(Tensor(h), quantizer.config, quantizer.codebook).indices
     quantizer.apply(Tensor(h))
     with ad.no_grad([quantizer.codebook.entries]):
@@ -502,7 +502,7 @@ def test_small_reservoir_warns_of_duplicate_codes(caplog):
     quantizer = CommunicationQuantizer(QuantizerConfig(L=8, G=2, m=4), warmup_vectors=3)
     quantizer.apply(Tensor(rng.normal(size=(5, 4))))
     with caplog.at_level("WARNING", logger="vqcomm"):
-        quantizer.initialize(seed=0)
+        quantizer.initialize(rng=np.random.default_rng(0))
     assert quantizer.active
     [record] = caplog.records
     assert "3 vectors" in record.getMessage() and "8 codes" in record.getMessage()
@@ -513,5 +513,5 @@ def test_full_reservoir_does_not_warn(caplog):
     quantizer = CommunicationQuantizer(QuantizerConfig(L=4, G=2, m=4), warmup_vectors=8)
     quantizer.apply(Tensor(rng.normal(size=(5, 4))))
     with caplog.at_level("WARNING", logger="vqcomm"):
-        quantizer.initialize(seed=0)
+        quantizer.initialize(rng=np.random.default_rng(0))
     assert not caplog.records

@@ -80,10 +80,15 @@ def test_gru_cell_gradcheck():
     from oracles import finite_difference_grads
 
     rng = np.random.default_rng(5)
-    # one unstacked cell, d_in=3, H=4: (w_x, w_h, b_x, b_h)
-    params = [Parameter(glorot(rng, 3, 12)), Parameter(glorot(rng, 4, 12)), Parameter(np.zeros(12)), Parameter(np.zeros(12))]
-    h0 = rng.uniform(-1, 1, size=(2, 4))
-    x0 = rng.uniform(-1, 1, size=(2, 3))
+    # M=2 module cells, d_in=3, H=4: (w_x, w_h, b_x, b_h) with the module axis first, state (B=5, M, H)
+    params = [
+        Parameter(np.stack([glorot(rng, 3, 12) for _ in range(2)])),
+        Parameter(np.stack([glorot(rng, 4, 12) for _ in range(2)])),
+        Parameter(np.zeros((2, 1, 12))),
+        Parameter(np.zeros((2, 1, 12))),
+    ]
+    h0 = rng.uniform(-1, 1, size=(5, 2, 4))
+    x0 = rng.uniform(-1, 1, size=(5, 3))
 
     def scalar(arrs):
         for p, a in zip(params, arrs):

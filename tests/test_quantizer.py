@@ -267,21 +267,21 @@ def test_loss_weights_must_be_finite_and_positive(key, value):
 
 def test_kmeans_each_point_its_own_centroid():
     samples = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [5.0, 5.0]])
-    book = kmeans_init(samples, L=4, seed=0)
+    book = kmeans_init(samples, L=4, rng=np.random.default_rng(0))
     got = sorted(map(tuple, book.entries.data))
     assert got == sorted(map(tuple, samples))
 
 
 def test_kmeans_degenerate_single_cluster():
     samples = np.tile([1.5, -2.5], (6, 1))
-    book = kmeans_init(samples, L=1, seed=3)
+    book = kmeans_init(samples, L=1, rng=np.random.default_rng(3))
     assert np.allclose(book.entries.data, [[1.5, -2.5]], atol=1e-15)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
 def test_kmeans_two_cluster_example_any_seeding(seed):
     samples = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 5.0], [5.1, 5.0]])
-    book = kmeans_init(samples, L=2, seed=seed)
+    book = kmeans_init(samples, L=2, rng=np.random.default_rng(seed))
     got = sorted(map(tuple, np.round(book.entries.data, 12)))
     assert got == [(0.05, 0.0), (5.05, 5.0)]
 
@@ -314,14 +314,14 @@ def test_kmeans_inertia_non_increasing():
 
 def test_kmeans_surplus_centroids_allowed():
     samples = np.array([[0.0, 0.0], [1.0, 1.0]])
-    book = kmeans_init(samples, L=4, seed=1)
+    book = kmeans_init(samples, L=4, rng=np.random.default_rng(1))
     assert book.entries.shape == (4, 2)
     assert book.initialized
 
 
 def test_kmeans_rejects_bad_L():
     with pytest.raises(ValueError):
-        kmeans_init(np.zeros((3, 2)), L=0)
+        kmeans_init(np.zeros((3, 2)), L=0, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -475,4 +475,4 @@ def test_kmeans_rejects_non_finite_samples():
     samples = np.random.default_rng(3).normal(size=(20, 2))
     samples[7, 1] = np.nan
     with pytest.raises(FloatingPointError):
-        kmeans_init(samples, 3, seed=0)
+        kmeans_init(samples, 3, rng=np.random.default_rng(0))

@@ -25,13 +25,13 @@ from oracles import gridworld_step_reference, rank_by_sort
 
 
 def test_adding_arrays_have_model_shapes():
-    inputs, targets = gen_adding(7, seq_len=10, gap_len=5, seed=0)
+    inputs, targets = gen_adding(7, seq_len=10, gap_len=5, rng=np.random.default_rng(0))
     assert inputs.shape == (7, 15, 2) and targets.shape == (7, 1)
     assert inputs.dtype == targets.dtype == np.float64
 
 
 def test_adding_target_is_sum_of_marked():
-    inputs, targets = gen_adding(100, seq_len=10, gap_len=5, seed=0)
+    inputs, targets = gen_adding(100, seq_len=10, gap_len=5, rng=np.random.default_rng(0))
     for x, target in zip(inputs, targets[:, 0]):
         marked = x[x[:, 1] == 1.0, 0]
         assert len(marked) == 2
@@ -39,35 +39,35 @@ def test_adding_target_is_sum_of_marked():
 
 
 def test_adding_all_zero_values_target_zero():
-    _, targets = gen_adding(10, seq_len=5, gap_len=2, seed=1, max_value=0.0)
+    _, targets = gen_adding(10, seq_len=5, gap_len=2, rng=np.random.default_rng(1), max_value=0.0)
     assert np.all(targets == 0.0)
 
 
 def test_adding_gap_tokens_are_blank():
-    inputs, _ = gen_adding(20, seq_len=8, gap_len=6, seed=2)
+    inputs, _ = gen_adding(20, seq_len=8, gap_len=6, rng=np.random.default_rng(2))
     assert inputs.shape[1] == 14
     assert np.all(inputs[:, 8:] == 0.0)
 
 
 def test_adding_brute_force_resummation():
-    inputs, targets = gen_adding(10_000, seq_len=20, gap_len=3, seed=3)
+    inputs, targets = gen_adding(10_000, seq_len=20, gap_len=3, rng=np.random.default_rng(3))
     for x, target in zip(inputs, targets[:, 0]):
         expect = sum(v for v, m in x if m == 1.0)
         assert target == expect
 
 
 def test_adding_deterministic_per_seed():
-    a = gen_adding(50, seq_len=12, gap_len=4, seed=42)
-    b = gen_adding(50, seq_len=12, gap_len=4, seed=42)
+    a = gen_adding(50, seq_len=12, gap_len=4, rng=np.random.default_rng(42))
+    b = gen_adding(50, seq_len=12, gap_len=4, rng=np.random.default_rng(42))
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
 
 def test_adding_rejects_bad_lengths():
     with pytest.raises(ValueError):
-        gen_adding(1, seq_len=0, gap_len=0, seed=0)
+        gen_adding(1, seq_len=0, gap_len=0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        gen_adding(1, seq_len=5, gap_len=-1, seed=0)
+        gen_adding(1, seq_len=5, gap_len=-1, rng=np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +117,7 @@ def _decode(obs, act, grid_size):
 
 
 def test_episode_generation_preserves_invariants():
-    obs, act, nxt = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=20, episodes=50, seed=0)
+    obs, act, nxt = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=20, episodes=50, rng=np.random.default_rng(0))
     assert obs.shape == nxt.shape == (1000, 5, 2) and act.shape == (1000, 5, 5)
     assert np.all(act.sum(axis=-1) == 1.0)
     for enc in (obs, nxt):
@@ -130,7 +130,7 @@ def test_episode_generation_preserves_invariants():
 
 def test_episode_transitions_match_push_rule_oracle():
     grid_size = 4
-    obs, act, nxt = gen_gridworld_episodes(num_objects=4, grid_size=grid_size, steps=15, episodes=40, seed=7)
+    obs, act, nxt = gen_gridworld_episodes(num_objects=4, grid_size=grid_size, steps=15, episodes=40, rng=np.random.default_rng(7))
     positions, actions = _decode(obs, act, grid_size)
     after, _ = _decode(nxt, act, grid_size)
     moved = 0
@@ -144,7 +144,7 @@ def test_episode_transitions_match_push_rule_oracle():
 
 def test_episode_generation_rejects_overpacking():
     with pytest.raises(ValueError):
-        gen_gridworld_episodes(num_objects=26, grid_size=5, steps=1, episodes=1, seed=0)
+        gen_gridworld_episodes(num_objects=26, grid_size=5, steps=1, episodes=1, rng=np.random.default_rng(0))
 
 
 def test_invalid_states_rejected():
@@ -234,15 +234,15 @@ def test_rank_matches_sort_oracle():
 
 def test_ood_split_differs_only_in_declared_knob():
     # adding: split configs share everything except the gap knob
-    train_kwargs = dict(count=8, seq_len=6, seed=3, max_value=1.0)
-    train, _ = gen_adding(gap_len=4, **train_kwargs)
-    ood, _ = gen_adding(gap_len=9, **train_kwargs)
+    train_kwargs = dict(count=8, seq_len=6, max_value=1.0)
+    train, _ = gen_adding(gap_len=4, rng=np.random.default_rng(3), **train_kwargs)
+    ood, _ = gen_adding(gap_len=9, rng=np.random.default_rng(3), **train_kwargs)
     assert train.shape == (8, 10, 2) and ood.shape == (8, 15, 2)
     # the marked values sit in the first seq_len steps; the gap tail is blank
     assert np.array_equal(train[:, :6], ood[:, :6])
     assert not train[:, 6:].any() and not ood[:, 6:].any()
     # grid world: only the object count changes
-    a = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=3, episodes=2, seed=1)
-    b = gen_gridworld_episodes(num_objects=2, grid_size=5, steps=3, episodes=2, seed=1)
+    a = gen_gridworld_episodes(num_objects=5, grid_size=5, steps=3, episodes=2, rng=np.random.default_rng(1))
+    b = gen_gridworld_episodes(num_objects=2, grid_size=5, steps=3, episodes=2, rng=np.random.default_rng(1))
     assert [x.shape[:2] for x in a] == [(6, 5)] * 3
     assert [x.shape[:2] for x in b] == [(6, 2)] * 3
