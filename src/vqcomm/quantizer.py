@@ -90,6 +90,7 @@ class QuantizationOutput:
     indices: np.ndarray  # 1-based, shape (G,) or (batch, G)
     codebook_loss: Tensor
     commitment_loss: Tensor
+    diff: np.ndarray  # (heads, d): each head minus its code; the codebook gradient reads it
 
 
 @dataclass
@@ -118,9 +119,68 @@ def code_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return d2
 
 
+# Below this head dimension the coordinate loop beats the GEMM screen.
+GEMM_MIN_DIM = 3
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max / 4
+
+
+def _exact_nearest(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
+    """Argmin of ``code_distances`` over the (N, d) ``rows``; raises when a nearest distance overflows."""
+    with np.errstate(over="ignore"):
+        d2 = code_distances(rows, entries)
+    best = d2.argmin(axis=1)
+    if not np.isfinite(d2).all() and not np.isfinite(d2[np.arange(len(best)), best]).all():
+        raise FloatingPointError("nearest-code search: a head's squared distance to its nearest code overflows")
+    return best
+
+
 def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
-    """0-based index of the nearest row of ``entries`` for each d-vector of ``x``; ties: lowest index."""
-    return code_distances(x, entries).argmin(axis=-1)
+    """0-based index of the nearest row of ``entries`` for each d-vector of ``x``; ties: lowest index.
+
+    The result is always ``code_distances(x, entries).argmin(-1)``: exact
+    distances summed in coordinate order, the lowest index on ties. For
+    ``d >= GEMM_MIN_DIM`` one GEMM screens every code, and the loop
+    re-ranks only the heads the screen cannot decide. Non-finite input, or
+    a head whose nearest distance overflows, raises ``FloatingPointError``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d = entries.shape[1]
+    if x.shape[-1] != d:
+        raise ShapeError(f"nearest-code search: vectors of dimension {x.shape[-1]}, codes of dimension {d}")
+    flat = x.reshape(-1, d)
+    if d < GEMM_MIN_DIM:
+        return _exact_nearest(flat, entries).reshape(x.shape[:-1])[()]
+    _require_finite("nearest-code search", flat, entries)
+    # Screen: |x - e_j|^2 - |x|^2 = |e_j|^2 - 2 x.e_j, one (L, N) GEMM.
+    #
+    # With u = eps/2 and E = |x|^2 + max_j |e_j|^2, the screen's rounding
+    # error per code is at most about (2d + 2) u E, whatever order BLAS
+    # sums in (|e_j|^2 + 2|x.e_j| <= 2E), and the loop's at most
+    # (d + 2) u * 2E (each term off by 3u, their sum by (d - 1)u more;
+    # |x - e_j|^2 <= 2E). Two codes' loop distances therefore differ in the
+    # screen's sign once their scores differ by more than 8 (d + 2) u E.
+    # tol = c E is twice that; the slack covers the rounding of tol, of E
+    # and of the comparison. A row whose best score beats every other by
+    # more than tol has the same strict winner in the loop, so only rows
+    # with another code within tol are re-ranked. The bound holds for E in
+    # [TINY / c, max / 4]: above, a distance or a score may overflow;
+    # below, tol is subnormal and underflow errors are absolute, not
+    # relative. Those rows go to the loop too.
+    c = 8 * (d + 2) * _EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", entries, entries)
+        scale = np.einsum("ij,ij->i", flat, flat) + sq.max()
+        score = (-2.0 * entries) @ flat.T
+        score += sq[:, None]
+        near = score <= score.min(axis=0) + c * scale
+    best = near.argmax(axis=0)
+    redo = (near.sum(axis=0) > 1) | ~((scale >= _TINY / c) & (scale <= _HUGE))
+    if redo.any():
+        rows = np.flatnonzero(redo)
+        best[rows] = _exact_nearest(flat[rows], entries)
+    return best.reshape(x.shape[:-1])[()]
 
 
 def _check_input(h, config: QuantizerConfig, codebook: Codebook) -> Tensor:
@@ -134,34 +194,64 @@ def _check_input(h, config: QuantizerConfig, codebook: Codebook) -> Tensor:
     return h
 
 
-def _snap_output(h: Tensor, z: Tensor, idx0: np.ndarray, config: QuantizerConfig, codebook: Codebook):
+def _add_codebook_grad(entries: Tensor, snaps, g) -> None:
+    """Add the codebook-loss gradient of ``snaps``, (indices, diff) pairs, scaled by ``g``.
+
+    Snap s sends ``-2 diff_s * (g / heads_s)`` to the rows of its 1-based
+    ``indices``. Each dimension takes one ``np.bincount`` over the heads of
+    all snaps in snap order, which adds every code's terms in the order of
+    a per-snap ``np.add.at`` chain; a gradient already in ``entries.grad``
+    (gumbel's mixture matmul puts one there) leads as L terms, as the
+    chain's starting value would.
+    """
+    L, d = entries.shape
+    lead = 0 if entries.grad is None else L
+    idx = np.concatenate([np.arange(1, lead + 1), *(indices.reshape(-1) for indices, _ in snaps)])
+    idx -= 1
+    scales = [-2.0 * (g * (1.0 / diff.shape[0])) for _, diff in snaps]
+    weights = np.empty(len(idx))
+    grad = np.empty((L, d))
+    for k in range(d):
+        if lead:
+            weights[:lead] = entries.grad[:, k]
+        at = lead
+        for (_, diff), scale in zip(snaps, scales):
+            np.multiply(diff[:, k], scale, out=weights[at : at + len(diff)])
+            at += len(diff)
+        grad[:, k] = np.bincount(idx, weights=weights, minlength=L)
+    entries.grad = grad
+
+
+def _snap_output(
+    h: Tensor, z: Tensor, idx0: np.ndarray, picked: np.ndarray, config: QuantizerConfig, codebook: Codebook
+):
     """Package ``z`` with the indices and the two auxiliary losses of heads ``idx0`` (B, G).
 
-    Each loss is one tape node over one shared ``diff``: the codebook loss
-    sends gradient only to the entries, the commitment loss only to ``h``.
-    Both are the squared head distance averaged over heads and vectors.
+    ``picked`` is ``entries[idx0]``. Each loss is one tape node over one
+    shared ``diff``: the codebook loss sends gradient only to the entries,
+    the commitment loss only to ``h``. Both are the squared head distance
+    averaged over heads and vectors.
     """
     entries = codebook.entries
     batch = idx0.shape[0]
-    diff = h.data.reshape(batch, config.G, config.d) - entries.data[idx0]
+    diff = h.data.reshape(batch, config.G, config.d) - picked
     norm = 1.0 / (batch * config.G)
     value = (diff * diff).sum(-1).sum() * norm
-    flat_idx = idx0.reshape(-1)
+    indices = (idx0 + 1).astype(np.int64)
+    head_diff = diff.reshape(-1, config.d)
 
     def codebook_backward(g):
-        if entries.grad is None:
-            entries.grad = np.zeros_like(entries.data)
-        np.add.at(entries.grad, flat_idx, (-2.0 * diff * (g * norm)).reshape(-1, config.d))
+        _add_codebook_grad(entries, [(indices, head_diff)], g)
 
     def commitment_backward(g):
         ad._accum(h, (2.0 * diff * (g * norm)).reshape(h.shape))
 
-    indices = (idx0 + 1).astype(np.int64)
     return QuantizationOutput(
         z=z,
         indices=indices[0] if h.ndim == 1 else indices,
         codebook_loss=ad._node(value, (entries,), codebook_backward),
         commitment_loss=ad._node(value, (h,), commitment_backward),
+        diff=head_diff,
     )
 
 
@@ -175,9 +265,10 @@ def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutp
     h = _check_input(h, config, codebook)
     batch = h.size // config.m
     idx0 = nearest_indices(h.data.reshape(batch, config.G, config.d), codebook.entries.data)
+    picked = codebook.entries.data[idx0]
     # straight-through: forward value is the snapped vector, backward is identity on h
-    z = ad.straight_through(h, codebook.entries.data[idx0].reshape(h.shape))
-    return _snap_output(h, z, idx0, config, codebook)
+    z = ad.straight_through(h, picked.reshape(h.shape))
+    return _snap_output(h, z, idx0, picked, config, codebook)
 
 
 def gumbel_quantize(
@@ -210,7 +301,7 @@ def gumbel_quantize(
     z = ad.reshape(ad.matmul(y, codebook.entries), h.shape)
 
     idx0 = (logits.data + noise).argmax(axis=-1)
-    return _snap_output(h, z, idx0, config, codebook)
+    return _snap_output(h, z, idx0, codebook.entries.data[idx0], config, codebook)
 
 
 def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
@@ -218,8 +309,9 @@ def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
 
     One tape node whose parents are the codebook entries and each snap's
     input. Its value sums the losses left to right, as a chain of adds
-    would; its backward hands every snap's codebook and commitment
-    closures the gradient that chain would, calling them in snap order.
+    would; its backward sends the gradient that chain would: to each
+    trained codebook, the codebook terms of all its snaps in one
+    ``_add_codebook_grad``; to each input, its snap's commitment closure.
     The per-snap loss nodes stay usable on their own but are not walked.
     """
     outputs = list(outputs)
@@ -234,12 +326,18 @@ def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:
     value = cb * inv * weight + cm * inv * beta
     parents = {id(p): p for o in outputs for loss in (o.codebook_loss, o.commitment_loss) for p in loss._parents}
 
+    books: dict[int, tuple[Tensor, list]] = {}  # trained codebook -> its snaps' (indices, diff), in snap order
+    for o in outputs:
+        for entries in o.codebook_loss._parents:
+            books.setdefault(id(entries), (entries, []))[1].append((o.indices, o.diff))
+
     def backward(g):
         g_cb, g_cm = g * weight * inv, g * beta * inv
+        for entries, snaps in books.values():
+            _add_codebook_grad(entries, snaps, g_cb)
         for o in outputs:
-            for loss, grad in ((o.codebook_loss, g_cb), (o.commitment_loss, g_cm)):
-                if loss._backward is not None:
-                    loss._backward(grad)
+            if o.commitment_loss._backward is not None:
+                o.commitment_loss._backward(g_cm)
 
     return ad._node(value, tuple(parents.values()), backward)
 

@@ -206,6 +206,24 @@ def test_non_finite_vector_is_runtime_failure(tmp_path):
     assert "non-finite" in result.stderr
 
 
+def test_overflowing_head_is_runtime_failure(tmp_path, monkeypatch, capsys):
+    # every squared distance of the first head overflows; it used to snap to code 1 and exit 0
+    rng = np.random.default_rng(0)
+    path = tmp_path / "book.vqcb"
+    save_codebook(path, Codebook(16, 4, entries=rng.normal(size=(16, 4)), initialized=True), QuantizerConfig(16, 8, 32))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(" ".join(["1e200"] + ["0"] * 31) + "\n"))
+    assert main(["quantize", "--codebook", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err and captured.out == ""
+
+
+def test_vector_field_overflowing_range_is_runtime_failure(capsys):
+    # the rows at +-1e200 used to be written with code 1
+    assert main(["vector-field", "--L", "4", "--range", "1e200", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err and captured.out == ""
+
+
 def test_diverging_run_is_runtime_failure(capsys):
     argv = ["run", "adding", "--set", "training.lr=1e300", "--set", "training.epochs=1"]
     for key, value in [("task.seq_len", 5), ("task.train_gap", 3), ("task.train_count", 12), ("task.eval_count", 6),

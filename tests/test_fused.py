@@ -305,6 +305,42 @@ def test_combined_aux_loss_is_one_node_over_entries_and_inputs():
     assert _tape_nodes(loss) == 1
 
 
+@pytest.mark.parametrize("prior", [False, True], ids=["no-gradient-yet", "gradient-already-there"])
+def test_combined_codebook_gradient_is_the_add_at_chain(prior):
+    # the per-snap np.add.at chain the bincount replaced, started from what
+    # entries.grad held (gumbel's mixture matmul leaves a gradient there);
+    # 3 codes for 68 heads, so every code sums many terms
+    rng = np.random.default_rng(19)
+    cfg = QuantizerConfig(L=3, G=4, m=8, beta=0.3, codebook_loss_weight=0.7)
+    shapes = [(6, 8), (2, 3, 8), (8,), (9, 8)]
+    hs, book, outs = _snaps(rng, cfg, rng.normal(size=(3, 2)), shapes)
+    start = rng.normal(size=(3, 2)) if prior else np.zeros((3, 2))
+    book.entries.grad = start.copy() if prior else None
+    loss = combined_aux_loss(outs, cfg)
+    g_cb = np.ones_like(loss.data) * cfg.codebook_loss_weight * (1.0 / len(outs))
+    expected = start.copy()
+    for h, out in zip(hs, outs):
+        idx0 = out.indices.reshape(-1) - 1
+        diff = h.data.reshape(-1, cfg.d) - book.entries.data[idx0]
+        np.add.at(expected, idx0, -2.0 * diff * (g_cb * (1.0 / len(idx0))))
+    ad.backward(loss)
+    _assert_same(book.entries.grad, expected)
+
+
+def test_combined_aux_loss_sends_each_codebook_its_own_snaps():
+    rng = np.random.default_rng(20)
+    cfg = QuantizerConfig(L=3, G=2, m=4)
+    entries = [rng.normal(size=(3, 2)) for _ in range(2)]
+    hs = [rng.normal(size=(5, 4)) for _ in range(4)]
+    results = []
+    for aux_loss in (combined_aux_loss, _composite_aux_loss):
+        books = [_book(e) for e in entries]
+        ad.backward(aux_loss([quantize(Tensor(h), cfg, books[i % 2]) for i, h in enumerate(hs)], cfg))
+        results.append([book.entries.grad for book in books])
+    for a, b in zip(*results):
+        _assert_same(a, b)
+
+
 def test_combined_aux_loss_gradcheck():
     rng = np.random.default_rng(18)
     cfg = QuantizerConfig(L=5, G=2, m=6, beta=0.3, codebook_loss_weight=0.7)

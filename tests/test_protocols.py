@@ -1,7 +1,8 @@
-"""The OOD study table and ``scripts/ood_study.py``, which runs it."""
+"""The OOD study table, ``scripts/ood_study.py``, which runs it, and ``scripts/record_hashes.py``."""
 
 import csv
 import importlib.util
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -93,3 +94,26 @@ def test_ood_study_bad_arguments_exit_2(ood_study, tmp_path, capsys, argv, liste
     assert exc.value.code == 2
     assert listed in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture
+def record_hashes(monkeypatch):
+    """The script's module; its import puts ``perfbench`` on ``sys.path``, undone afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parents[1] / "scripts" / "record_hashes.py"
+    spec = importlib.util.spec_from_file_location("record_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_record_hashes_marks_each_run_against_its_reference(record_hashes, monkeypatch, capsys):
+    assert set(record_hashes.REFERENCE) == set(record_hashes.RUNS)
+    monkeypatch.setattr(record_hashes, "RUNS", {"tiny": lambda: [_tiny_adding(True, 0)]})
+    monkeypatch.setattr(record_hashes, "REFERENCE", {"tiny": "0" * 64})
+    assert record_hashes.main([]) == 1
+    name, digest, verdict = capsys.readouterr().out.split()
+    assert (name, verdict) == ("tiny", "CHANGED")
+    record_hashes.REFERENCE["tiny"] = digest
+    assert record_hashes.main([]) == 0
+    assert capsys.readouterr().out.split() == ["tiny", digest, "ok"]

@@ -86,6 +86,72 @@ def test_nearest_code_matches_exhaustive_oracle():
         assert nearest_indices(s, rows) + 1 == exhaustive_nearest(s, rows)
 
 
+def _kernel_case(data, exponent):
+    """Heads, codes and whether ``exhaustive_nearest`` applies, at magnitude ~10**exponent.
+
+    - lattice: small integers (codes) and half-integers (heads) times a
+      power of two, so every square and sum is exact: many exact ties,
+      heads on codes and on midpoints between codes;
+    - normal: Gaussian codes with duplicated rows, heads partly copies of
+      codes;
+    - midpoint: heads halfway between two Gaussian codes, near ties that
+      rounding decides, where the screen and the loop order codes apart.
+      ``exhaustive_nearest`` squares with ``pow``, which rounds about 1
+      square in 1200 differently from ``x * x``, so on these near ties it
+      can split from ``code_distances``; only the latter is compared.
+    """
+    d = data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]), label="d")
+    L = data.draw(st.integers(1, 64), label="L")
+    n = data.draw(st.integers(1, 12), label="heads")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    family = data.draw(st.sampled_from(["lattice", "normal", "midpoint"]), label="family")
+    if family == "lattice":
+        unit = 2.0 ** round(exponent * np.log2(10))
+        entries = rng.integers(-3, 4, size=(L, d)) * unit
+        x = rng.integers(-8, 9, size=(n, d)) * (unit / 2)
+    else:
+        entries = rng.normal(size=(L, d)) * 10.0**exponent
+        entries[rng.integers(L, size=L // 4)] = entries[rng.integers(L, size=L // 4)]
+        if family == "midpoint":
+            x = (entries[rng.integers(L, size=n)] + entries[rng.integers(L, size=n)]) / 2
+        else:
+            x = rng.normal(size=(n, d)) * 10.0**exponent
+            on_code = rng.random(n) < 0.3
+            x[on_code] = entries[rng.integers(L, size=on_code.sum())]
+    return (x[0] if data.draw(st.booleans(), label="1-D") else x), entries, family != "midpoint"
+
+
+@pytest.mark.parametrize("exponent", [-160, -100, 0, 100, 154])
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_nearest_indices_is_the_exact_coordinate_argmin(exponent, data):
+    x, entries, oracle_applies = _kernel_case(data, exponent)
+    with np.errstate(over="ignore"):
+        d2 = code_distances(x, entries)
+    expected = d2.argmin(axis=-1)
+    if not np.isfinite(np.take_along_axis(d2, np.expand_dims(expected, -1), -1)).all():
+        with pytest.raises(FloatingPointError, match="overflows"):
+            nearest_indices(x, entries)
+        return
+    got = nearest_indices(x, entries)
+    assert np.array_equal(got, expected) and np.shape(got) == np.shape(expected)
+    if oracle_applies:
+        with np.errstate(over="ignore"):
+            oracle = [exhaustive_nearest(row, entries) - 1 for row in np.atleast_2d(x)]
+        assert np.atleast_1d(got).tolist() == oracle
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["head", "code"])
+def test_nearest_indices_rejects_non_finite_input(d, bad, where):
+    rng = np.random.default_rng(d)
+    x, entries = rng.normal(size=(5, d)), rng.normal(size=(7, d))
+    (x if where == "head" else entries)[3, d - 1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        nearest_indices(x, entries)
+
+
 def test_uninitialized_codebook_rejected():
     book = Codebook(4, 2)
     with pytest.raises(UninitializedCodebook):
