@@ -337,29 +337,6 @@ def relu(x) -> Tensor:
     return _node(data, (x,), backward)
 
 
-def tanh(x) -> Tensor:
-    x = as_tensor(x)
-    data = np.tanh(x.data)
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * (1.0 - data * data))
-
-    return _node(data, (x,), backward)
-
-
-def sigmoid(x) -> Tensor:
-    x = as_tensor(x)
-    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
-        data = 1.0 / (1.0 + np.exp(-x.data))
-
-    def backward(g):
-        if x.requires_grad:
-            _accum(x, g * data * (1.0 - data))
-
-    return _node(data, (x,), backward)
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
     """Softmax of an array over its last axis (max-shifted for stability)."""
     shifted = x - x.max(axis=-1, keepdims=True)
@@ -445,12 +422,6 @@ def cross_entropy(logits, targets) -> Tensor:
 # ---------------------------------------------------------------------------
 # gradient control
 # ---------------------------------------------------------------------------
-
-
-def stop_gradient(x) -> Tensor:
-    """Identity forward, zero gradient backward."""
-    x = as_tensor(x)
-    return Tensor(x.data)
 
 
 def straight_through(x, value) -> Tensor:

@@ -82,23 +82,24 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
     ``(B, M, H)`` and the output too, read through a module-first view so
     that no transpose node sits on either side. The backward repeats, op for
     op, the float order of the same cell built from elementwise tape ops, so
-    either form gives bit-identical gradients.
+    either form gives bit-identical gradients. Per step the node keeps only
+    what that backward reads: ``r``, ``z``, ``n``, the ``hn`` gate block and
+    the output, five ``(M, B, H)`` arrays.
     """
     hm = np.swapaxes(h.data, 0, 1)  # (M, B, H)
+    H = hm.shape[-1]
     gx = x.data @ w_x.data + b_x.data
     gh = hm @ w_h.data + b_h.data
-    xr, xz, xn = np.split(gx, 3, axis=-1)
-    hr, hz, hn = np.split(gh, 3, axis=-1)
+    hn = gh[..., 2 * H :].copy()  # the backward keeps this block, not all of gh
     with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
-        r = 1.0 / (1.0 + np.exp(-(xr + hr)))
-        z = 1.0 / (1.0 + np.exp(-(xz + hz)))
-    n = np.tanh(xn + r * hn)
-    one_minus_z = z * -1.0 + 1.0
-    out = one_minus_z * n + z * hm
+        r = 1.0 / (1.0 + np.exp(-(gx[..., :H] + gh[..., :H])))
+        z = 1.0 / (1.0 + np.exp(-(gx[..., H : 2 * H] + gh[..., H : 2 * H])))
+    n = np.tanh(gx[..., 2 * H :] + r * hn)
+    out = (z * -1.0 + 1.0) * n + z * hm
 
     def backward(g):
         g = np.swapaxes(g, 0, 1)
-        dn = g * one_minus_z * (1.0 - n * n)
+        dn = g * (z * -1.0 + 1.0) * (1.0 - n * n)  # 1 - z recomputed, not kept
         dr = dn * hn * r * (1.0 - r)
         dz = (g * hm - g * n) * z * (1.0 - z)
         dgx = np.concatenate([dr, dz, dn], axis=-1)

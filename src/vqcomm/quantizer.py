@@ -375,12 +375,14 @@ def lloyd(samples: np.ndarray, L: int, iters: int, rng: np.random.Generator) -> 
     prev_assign = None
     for _ in range(iters):
         assign = nearest_indices(samples, centroids)
-        for j in range(L):
-            members = samples[assign == j]
-            if len(members):
-                centroids[j] = members.mean(axis=0)
-        empty = [j for j in range(L) if not (assign == j).any()]
-        for j in empty:
+        counts = np.bincount(assign, minlength=L)
+        # a stable sort lays each cluster's rows out contiguously in sample
+        # order, the same rows as samples[assign == j], so the means keep their bits
+        grouped = samples[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centroids[j] = grouped[ends[j] - counts[j] : ends[j]].mean(axis=0)
+        for j in np.flatnonzero(counts == 0):
             dist = ((samples - centroids[assign]) ** 2).sum(axis=-1)
             far = int(dist.argmax())
             centroids[j] = samples[far]

@@ -1,12 +1,27 @@
 """Independent reference implementations used to check the library.
 
-Everything here is deliberately written in the most direct way possible
-(loops, brute force) and shares no code with the package under test.
+Most of this is deliberately written in the most direct way possible
+(loops, brute force) and shares no code with the package under test. Three
+groups build on it on purpose:
+
+- the elementwise tape ops (``tanh``, ``sigmoid``, ``stop_gradient``) that
+  the composite reference graphs of the fused nodes are made of; no command
+  needs them, so they live here rather than in ``vqcomm.autodiff``;
+- ``lloyd_masks``, the boolean-mask Lloyd iteration that ``quantizer.lloyd``
+  must match bit for bit;
+- ``hoeffding_gaps_one_draw``, ``theory.verify_hoeffding`` with its
+  reference drawn in one piece.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from vqcomm import autodiff as ad
+from vqcomm.autodiff import Tensor
+from vqcomm.quantizer import nearest_indices
+from vqcomm.seeding import keyed_rng
+from vqcomm.theory import _REF_MULTIPLIER, _cell_ids
 
 
 def finite_difference_grads(f, arrays, eps=1e-5):
@@ -35,7 +50,8 @@ def exhaustive_nearest(segment, codebook_rows):
     for j, row in enumerate(codebook_rows):
         d = 0.0
         for a, b in zip(segment, row):
-            d += (a - b) ** 2
+            t = a - b
+            d += t * t  # as numpy squares an array; a scalar ** 2 goes through pow and can round apart
         if best_d is None or d < best_d:
             best_d = d
             best_j = j
@@ -64,6 +80,79 @@ def lloyd_reference(samples, centroids, iters=100):
             break
         centroids = new_centroids
     return centroids
+
+
+def lloyd_masks(samples, L, iters, rng):
+    """``quantizer.lloyd`` as one boolean mask per cluster and round."""
+    samples = np.asarray(samples, dtype=np.float64)
+    n = samples.shape[0]
+    seed_idx = rng.choice(n, size=L, replace=n < L)
+    centroids = samples[seed_idx].copy()
+    prev_assign = None
+    for _ in range(iters):
+        assign = nearest_indices(samples, centroids)
+        for j in range(L):
+            members = samples[assign == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+        empty = [j for j in range(L) if not (assign == j).any()]
+        for j in empty:
+            dist = ((samples - centroids[assign]) ** 2).sum(axis=-1)
+            far = int(dist.argmax())
+            centroids[j] = samples[far]
+            assign[far] = j
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        prev_assign = assign
+    return centroids
+
+
+def hoeffding_gaps_one_draw(L, G, d, n, trials, seed):
+    """The per-trial gaps of ``theory.verify_hoeffding`` with the reference
+    drawn as one ``(_REF_MULTIPLIER * n, G * d)`` array."""
+    rng = keyed_rng(seed)
+    entries = rng.normal(size=(L, d))
+    cells, m = L**G, G * d
+    ref = rng.normal(size=(_REF_MULTIPLIER * n, m))
+    p_ref = np.bincount(_cell_ids(ref, entries, L, G), minlength=cells) / (_REF_MULTIPLIER * n)
+    gaps = np.zeros(trials)
+    for t in range(trials):
+        p_hat = np.bincount(_cell_ids(rng.normal(size=(n, m)), entries, L, G), minlength=cells) / n
+        gaps[t] = np.abs(p_ref - p_hat).max()
+    return gaps
+
+
+# ---------------------------------------------------------------------------
+# elementwise tape ops for the composite reference graphs
+# ---------------------------------------------------------------------------
+
+
+def tanh(x) -> Tensor:
+    x = ad.as_tensor(x)
+    data = np.tanh(x.data)
+
+    def backward(g):
+        if x.requires_grad:
+            ad._accum(x, g * (1.0 - data * data))
+
+    return ad._node(data, (x,), backward)
+
+
+def sigmoid(x) -> Tensor:
+    x = ad.as_tensor(x)
+    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
+        data = 1.0 / (1.0 + np.exp(-x.data))
+
+    def backward(g):
+        if x.requires_grad:
+            ad._accum(x, g * data * (1.0 - data))
+
+    return ad._node(data, (x,), backward)
+
+
+def stop_gradient(x) -> Tensor:
+    """Identity forward, zero gradient backward."""
+    return Tensor(ad.as_tensor(x).data)
 
 
 def attention_reference(queries, keys, values, w_q, w_k, w_v, w_o, heads):

@@ -9,6 +9,7 @@ byte-identical. The two exceptions are named where they are tested.
 
 import functools
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -38,7 +39,7 @@ from vqcomm.quantizer import (
 )
 from vqcomm.tasks import gen_adding
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, sigmoid, stop_gradient, tanh
 
 # ---------------------------------------------------------------------------
 # composite reference graphs
@@ -48,9 +49,9 @@ from oracles import finite_difference_grads
 def _gru_gates(gx, gh, h):
     xr, xz, xn = ad.split(gx, 3, axis=-1)
     hr, hz, hn = ad.split(gh, 3, axis=-1)
-    r = ad.sigmoid(ad.add(xr, hr))
-    z = ad.sigmoid(ad.add(xz, hz))
-    n = ad.tanh(ad.add(xn, ad.mul(r, hn)))
+    r = sigmoid(ad.add(xr, hr))
+    z = sigmoid(ad.add(xz, hz))
+    n = tanh(ad.add(xn, ad.mul(r, hn)))
     one_minus_z = ad.add(ad.scale(z, -1.0), 1.0)
     return ad.add(ad.mul(one_minus_z, n), ad.mul(z, h))
 
@@ -64,8 +65,8 @@ def _composite_gru(h, x, w_x, w_h, b_x, b_h):
 def _aux_tail(segs, entries, idx0, batch, G):
     picked = ad.gather_rows(entries, idx0)
     norm = 1.0 / (batch * G)
-    codebook_loss = ad.scale(ad.tsum(ad.sqdist(ad.stop_gradient(segs), picked)), norm)
-    commitment_loss = ad.scale(ad.tsum(ad.sqdist(segs, ad.stop_gradient(picked))), norm)
+    codebook_loss = ad.scale(ad.tsum(ad.sqdist(stop_gradient(segs), picked)), norm)
+    commitment_loss = ad.scale(ad.tsum(ad.sqdist(segs, stop_gradient(picked))), norm)
     return codebook_loss, commitment_loss
 
 
@@ -415,6 +416,27 @@ def test_stacked_gru_is_one_node():
     out = gru(h, x)
     assert out.shape == (4, 3, 5)
     assert out._parents == (h, x, gru.w_x, gru.w_h, gru.b_x, gru.b_h)
+
+
+def test_stacked_gru_unroll_keeps_five_state_arrays_per_step():
+    """Before backward a taped step holds r, z, n, the hn gate block and its
+    output: five (B, M, H) arrays. Pinning all of ``h @ w_h + b_h`` through
+    the hn view and keeping 1 - z made it eight."""
+    B, M, H, steps = 32, 4, 32, 20
+    rng = np.random.default_rng(24)
+    gru = StackedGRU(rng, M, 3, H)
+    xs = [Tensor(rng.normal(size=(B, 3))) for _ in range(steps)]
+    h = Tensor(rng.normal(size=(B, M, H)), requires_grad=True)
+    tracemalloc.start()
+    try:
+        for x in xs:
+            h = gru(h, x)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= steps * 6 * B * M * H * 8, f"{kept / (steps * B * M * H * 8):.2f} state arrays per step"
+    ad.backward(ad.tsum(h))
+    assert gru.w_h.grad is not None
 
 
 def test_stacked_gru_gradcheck():

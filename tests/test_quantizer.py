@@ -87,7 +87,7 @@ def test_nearest_code_matches_exhaustive_oracle():
 
 
 def _kernel_case(data, exponent):
-    """Heads, codes and whether ``exhaustive_nearest`` applies, at magnitude ~10**exponent.
+    """Heads and codes at magnitude ~10**exponent.
 
     - lattice: small integers (codes) and half-integers (heads) times a
       power of two, so every square and sum is exact: many exact ties,
@@ -96,9 +96,6 @@ def _kernel_case(data, exponent):
       codes;
     - midpoint: heads halfway between two Gaussian codes, near ties that
       rounding decides, where the screen and the loop order codes apart.
-      ``exhaustive_nearest`` squares with ``pow``, which rounds about 1
-      square in 1200 differently from ``x * x``, so on these near ties it
-      can split from ``code_distances``; only the latter is compared.
     """
     d = data.draw(st.sampled_from([1, 2, 3, 4, 8, 16]), label="d")
     L = data.draw(st.integers(1, 64), label="L")
@@ -118,14 +115,14 @@ def _kernel_case(data, exponent):
             x = rng.normal(size=(n, d)) * 10.0**exponent
             on_code = rng.random(n) < 0.3
             x[on_code] = entries[rng.integers(L, size=on_code.sum())]
-    return (x[0] if data.draw(st.booleans(), label="1-D") else x), entries, family != "midpoint"
+    return (x[0] if data.draw(st.booleans(), label="1-D") else x), entries
 
 
 @pytest.mark.parametrize("exponent", [-160, -100, 0, 100, 154])
 @given(data=st.data())
 @settings(max_examples=50, deadline=None)
 def test_nearest_indices_is_the_exact_coordinate_argmin(exponent, data):
-    x, entries, oracle_applies = _kernel_case(data, exponent)
+    x, entries = _kernel_case(data, exponent)
     with np.errstate(over="ignore"):
         d2 = code_distances(x, entries)
     expected = d2.argmin(axis=-1)
@@ -135,10 +132,9 @@ def test_nearest_indices_is_the_exact_coordinate_argmin(exponent, data):
         return
     got = nearest_indices(x, entries)
     assert np.array_equal(got, expected) and np.shape(got) == np.shape(expected)
-    if oracle_applies:
-        with np.errstate(over="ignore"):
-            oracle = [exhaustive_nearest(row, entries) - 1 for row in np.atleast_2d(x)]
-        assert np.atleast_1d(got).tolist() == oracle
+    with np.errstate(over="ignore"):
+        oracle = [exhaustive_nearest(row, entries) - 1 for row in np.atleast_2d(x)]
+    assert np.atleast_1d(got).tolist() == oracle
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
@@ -364,6 +360,31 @@ def test_kmeans_matches_loop_reference():
     ref = lloyd_reference(samples, samples[start_idx], iters=100)
     got = lloyd(samples, 5, iters=100, rng=np.random.default_rng(99))
     assert np.allclose(sorted(map(tuple, got)), sorted(map(tuple, ref)), atol=1e-9)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_lloyd_matches_the_mask_oracle_bit_for_bit(data):
+    """Grouping by one stable argsort gives the centroids, bit for bit, and the
+    generator state of one boolean mask per cluster and round."""
+    from oracles import lloyd_masks
+    from vqcomm.quantizer import lloyd
+
+    d = data.draw(st.sampled_from([1, 2, 3, 4, 8]), label="d")
+    L = data.draw(st.integers(1, 20), label="L")
+    n = data.draw(st.integers(1, 300), label="n")
+    iters = data.draw(st.integers(1, 25), label="iters")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    samples = rng.normal(size=(n, d))
+    if data.draw(st.booleans(), label="duplicated"):  # fewer distinct rows than codes: clusters empty out
+        distinct = data.draw(st.integers(1, L), label="distinct")
+        samples = samples[rng.integers(min(distinct, n), size=n)]
+    seed = data.draw(st.integers(0, 2**32 - 1), label="lloyd seed")
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = lloyd(samples, L, iters, got_rng)
+    want = lloyd_masks(samples, L, iters, want_rng)
+    assert got.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_kmeans_inertia_non_increasing():

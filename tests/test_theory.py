@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,6 +172,27 @@ def test_hoeffding_bound_matches_calculator():
     rec = verify_hoeffding(L=4, G=2, d=2, n=500, delta=0.05, trials=5, seed=0)
     expect = bound_with_discretization(BoundInputs(G=2, L=4, n=500, delta=0.05, alpha=1.0))
     assert rec.bound == expect
+
+
+@pytest.mark.parametrize("L, G, d, n, seed", [(4, 2, 2, 500, 0), (3, 2, 3, 400, 1)], ids=["loop", "gemm-screen"])
+def test_hoeffding_streamed_reference_equals_one_draw(L, G, d, n, seed):
+    """The reference drawn n rows at a time gives the same gaps, bit for bit,
+    as one (_REF_MULTIPLIER * n, G * d) draw; d = 3 goes through the GEMM screen."""
+    from oracles import hoeffding_gaps_one_draw
+
+    rec = verify_hoeffding(L=L, G=G, d=d, n=n, delta=0.05, trials=4, seed=seed)
+    assert rec.gaps.tobytes() == hoeffding_gaps_one_draw(L, G, d, n, trials=4, seed=seed).tobytes()
+
+
+def test_hoeffding_peak_memory_is_one_trial_block():
+    """A one-piece reference draw of 100 n vectors peaked at 31.4 MB here."""
+    tracemalloc.start()
+    try:
+        verify_hoeffding(L=4, G=2, d=2, n=2000, delta=0.05, trials=1, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0, f"traced peak {peak:.1f} MB"
 
 
 def test_hoeffding_enumeration_guard():
