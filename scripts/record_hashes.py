@@ -1,14 +1,15 @@
 """Check the seed-0 record hash of every protocol run a pure refactor must keep.
 
 Each line is ``<name> <sha256> ok|CHANGED``: the four benchmark workloads,
-the three other arms of the adding ablation and the transformer toy task
-with and without quantization, against ``REFERENCE``. The hash is
+the three other arms of the adding ablation, the baseline arm of the grid
+world study and the transformer toy task with and without quantization,
+against ``REFERENCE``. The hash is
 ``record_hash`` of ``perfbench/workloads.py`` (canonical run JSON without
 wall-clock fields), so a refactor that leaves every line ``ok`` leaves every
 record byte-identical. The exit status is 1 if any line changed. A change
 that means to move a record updates ``REFERENCE`` in its own diff.
 
-    python3 scripts/record_hashes.py              # all nine, about a minute
+    python3 scripts/record_hashes.py              # all ten, about a minute
     python3 scripts/record_hashes.py adding-vq    # only the named runs
 """
 
@@ -34,6 +35,7 @@ RUNS = {
         f"adding-{arm}": (lambda arm=arm: [protocols.STUDIES["adding"].arms[arm](0)])
         for arm in ("gumbel", "communication_input", "recurrent_update")
     },
+    "gridworld-base": lambda: [protocols.STUDIES["gridworld"].arms["baseline"](0)],
     "transformer-base": lambda: [_transformer(False)],
     "transformer-vq": lambda: [_transformer(True)],
 }
@@ -46,6 +48,7 @@ REFERENCE = {
     "adding-gumbel": "281e0a5ac63934dace68360d84d30ae7139c9bf80ef233a16160005e990f6f4d",
     "adding-communication_input": "42359c6ceffc620241866278cb993504f59e686348b89fe38f8b572f830ad557",
     "adding-recurrent_update": "6f34f4434fcd05df490c56250ca3a0c1c99fb32dab8f47ae74c88452d0df6795",
+    "gridworld-base": "3cbcbcd53ea2477c11d48c00e5d1f550144c7394ba3f8b01b230ef409ad11da3",
     "transformer-base": "bcff90242b2cb1d06dfad12474fafdc5e77e466c6fccfcdaf5b4c6f9769d19a8",
     "transformer-vq": "a8f662abacd1d548515c5eada99b7e878ab296b0c9bbee0b7c154fa388f74a2f",
 }

@@ -101,7 +101,7 @@ class CodebookStats:
 
 def _require_finite(where: str, x: np.ndarray, entries: np.ndarray) -> None:
     if not (np.isfinite(x).all() and np.isfinite(entries).all()):
-        raise FloatingPointError(f"{where}: non-finite value in the vectors or the codebook")
+        raise FloatingPointError(f"{where}: non-finite value in the vectors or the rows they are compared with")
 
 
 def code_distances(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
@@ -136,14 +136,50 @@ def _exact_nearest(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return best
 
 
+def distance_screen(x: np.ndarray, entries: np.ndarray):
+    """Screen the (N, d) rows of ``x`` against every row of ``entries`` with one GEMM.
+
+    Returns ``(score, tol, ok)``: ``score`` (L, N) is ``|e_j|^2 - 2 x.e_j``,
+    which is ``|x - e_j|^2 - |x|^2``; ``tol`` (N,) is ``c E`` with
+    ``c = 8 (d + 2) eps`` and ``E = |x|^2 + max_j |e_j|^2``; ``ok`` (N,)
+    marks the rows where the bound below holds. For such a row, two codes
+    whose scores differ by more than ``tol`` have exact distances in the
+    same strict order, whether ``code_distances`` sums them or numpy's row
+    sum of the squared differences does.
+
+    With u = eps/2, a score's rounding error is at most about (2d + 2) u E,
+    whatever order BLAS sums in (|e_j|^2 + 2|x.e_j| <= 2E). An exact
+    distance rounds each of its d terms by at most 3u of the term, and its
+    d - 1 additions by at most u of a partial sum each; every partial sum of
+    non-negative terms is at most the total, in any order, so the bound
+    (d + 2) u * 2E (|x - e_j|^2 <= 2E) holds for the coordinate loop and for
+    numpy's pairwise row sum alike. Two codes' distances therefore differ in
+    the screen's sign once their scores differ by more than 8 (d + 2) u E.
+    ``tol`` is twice that; the slack covers the rounding of tol, of E and of
+    the comparison. The bound holds for E in [TINY / c, max / 4]: above, a
+    distance or a score may overflow; below, tol is subnormal and underflow
+    errors are absolute, not relative. Those rows are not ``ok``.
+    """
+    c = 8 * (x.shape[1] + 2) * _EPS
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", entries, entries)
+        scale = np.einsum("ij,ij->i", x, x) + sq.max()
+        score = (-2.0 * entries) @ x.T
+        score += sq[:, None]
+        tol = c * scale
+    return score, tol, (scale >= _TINY / c) & (scale <= _HUGE)
+
+
 def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     """0-based index of the nearest row of ``entries`` for each d-vector of ``x``; ties: lowest index.
 
     The result is always ``code_distances(x, entries).argmin(-1)``: exact
     distances summed in coordinate order, the lowest index on ties. For
-    ``d >= GEMM_MIN_DIM`` one GEMM screens every code, and the loop
-    re-ranks only the heads the screen cannot decide. Non-finite input, or
-    a head whose nearest distance overflows, raises ``FloatingPointError``.
+    ``d >= GEMM_MIN_DIM`` one ``distance_screen`` GEMM screens every code,
+    and the loop re-ranks only the heads the screen cannot decide: those
+    with another code within ``tol`` of the best score, and those outside
+    the screen's range. Non-finite input, or a head whose nearest distance
+    overflows, raises ``FloatingPointError``.
     """
     x = np.asarray(x, dtype=np.float64)
     d = entries.shape[1]
@@ -153,30 +189,11 @@ def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     if d < GEMM_MIN_DIM:
         return _exact_nearest(flat, entries).reshape(x.shape[:-1])[()]
     _require_finite("nearest-code search", flat, entries)
-    # Screen: |x - e_j|^2 - |x|^2 = |e_j|^2 - 2 x.e_j, one (L, N) GEMM.
-    #
-    # With u = eps/2 and E = |x|^2 + max_j |e_j|^2, the screen's rounding
-    # error per code is at most about (2d + 2) u E, whatever order BLAS
-    # sums in (|e_j|^2 + 2|x.e_j| <= 2E), and the loop's at most
-    # (d + 2) u * 2E (each term off by 3u, their sum by (d - 1)u more;
-    # |x - e_j|^2 <= 2E). Two codes' loop distances therefore differ in the
-    # screen's sign once their scores differ by more than 8 (d + 2) u E.
-    # tol = c E is twice that; the slack covers the rounding of tol, of E
-    # and of the comparison. A row whose best score beats every other by
-    # more than tol has the same strict winner in the loop, so only rows
-    # with another code within tol are re-ranked. The bound holds for E in
-    # [TINY / c, max / 4]: above, a distance or a score may overflow;
-    # below, tol is subnormal and underflow errors are absolute, not
-    # relative. Those rows go to the loop too.
-    c = 8 * (d + 2) * _EPS
+    score, tol, ok = distance_screen(flat, entries)
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", entries, entries)
-        scale = np.einsum("ij,ij->i", flat, flat) + sq.max()
-        score = (-2.0 * entries) @ flat.T
-        score += sq[:, None]
-        near = score <= score.min(axis=0) + c * scale
+        near = score <= score.min(axis=0) + tol
     best = near.argmax(axis=0)
-    redo = (near.sum(axis=0) > 1) | ~((scale >= _TINY / c) & (scale <= _HUGE))
+    redo = (near.sum(axis=0) > 1) | ~ok
     if redo.any():
         rows = np.flatnonzero(redo)
         best[rows] = _exact_nearest(flat[rows], entries)
@@ -265,7 +282,7 @@ def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutp
     h = _check_input(h, config, codebook)
     batch = h.size // config.m
     idx0 = nearest_indices(h.data.reshape(batch, config.G, config.d), codebook.entries.data)
-    picked = codebook.entries.data[idx0]
+    picked = np.take(codebook.entries.data, idx0, axis=0)
     # straight-through: forward value is the snapped vector, backward is identity on h
     z = ad.straight_through(h, picked.reshape(h.shape))
     return _snap_output(h, z, idx0, picked, config, codebook)
@@ -301,7 +318,7 @@ def gumbel_quantize(
     z = ad.reshape(ad.matmul(y, codebook.entries), h.shape)
 
     idx0 = (logits.data + noise).argmax(axis=-1)
-    return _snap_output(h, z, idx0, codebook.entries.data[idx0], config, codebook)
+    return _snap_output(h, z, idx0, np.take(codebook.entries.data, idx0, axis=0), config, codebook)
 
 
 def combined_aux_loss(outputs, config: QuantizerConfig) -> Tensor:

@@ -296,7 +296,7 @@ def _eval_gridworld(model, obs, act, nxt) -> dict:
     pred = model.predict_next(obs, act)
     latents = model.encode(nxt).data.reshape(len(obs), -1)
     preds = pred.data.reshape(len(obs), -1)
-    ranks = [rank_next_state(preds[i], latents, true_index=i) for i in range(len(obs))]
+    ranks = rank_next_state(preds, latents, np.arange(len(obs)))
     return {"hits_at_1": hits_at_k(ranks, 1), "mrr": mrr(ranks)}
 
 

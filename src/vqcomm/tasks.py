@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quantizer import _require_finite, distance_screen
+
 DIRECTIONS = ("up", "down", "left", "right", "none")
 _MOVES = {
     "up": (-1, 0),
@@ -169,25 +171,67 @@ def gen_copy_batch(rng: np.random.Generator, count: int, length: int, vocab: int
 
 
 def hits_at_k(rankings, k: int) -> float:
-    ranks = np.asarray(list(rankings))
+    ranks = np.asarray(rankings)
     if ranks.size == 0:
         raise ValueError("hits_at_k: empty rankings")
     return float((ranks <= k).mean())
 
 
 def mrr(rankings) -> float:
-    ranks = np.asarray(list(rankings), dtype=np.float64)
+    ranks = np.asarray(rankings, dtype=np.float64)
     if ranks.size == 0:
         raise ValueError("mrr: empty rankings")
     return float((1.0 / ranks).mean())
 
 
-def rank_next_state(predicted_latent, candidate_latents, true_index: int = 0) -> int:
-    """Rank of the true candidate by squared distance; ties count against it."""
-    pred = np.asarray(predicted_latent, dtype=np.float64)
-    cands = np.asarray(candidate_latents, dtype=np.float64)
-    d2 = ((cands - pred) ** 2).reshape(cands.shape[0], -1).sum(axis=1)
-    d_true = d2[true_index]
-    others = np.delete(d2, true_index)
-    return int(1 + (others <= d_true).sum())
+# A ranking block holds at most this many floats of rows x candidates x features.
+RANK_BLOCK_FLOATS = 2**18
 
+
+def rank_next_state(predicted, candidates, true_index):
+    """Rank of each row's true candidate by squared distance; ties count against it.
+
+    ``predicted`` (N, F) is ranked against ``candidates`` (K, F), row i
+    against its true candidate ``true_index[i]``; the result is (N,) ranks.
+    A single (F,) ``predicted`` with an int ``true_index`` gives one int.
+    The rank is 1 plus the number of other candidates j whose distance
+    ``((candidates[j] - predicted[i]) ** 2).sum()`` is at most the true
+    one's. ``distance_screen`` settles every pair whose scores differ by
+    more than its tolerance; the rest, and every row outside its range, are
+    compared by those exact sums. Rows go in blocks of at most
+    ``RANK_BLOCK_FLOATS`` floats of rows x K x F. Non-finite input raises
+    ``FloatingPointError``.
+    """
+    preds = np.asarray(predicted, dtype=np.float64)
+    cands = np.asarray(candidates, dtype=np.float64)
+    true = np.asarray(true_index, dtype=np.intp)
+    single = preds.ndim == 1
+    preds, true = np.atleast_2d(preds), np.atleast_1d(true)
+    _require_finite("ranking", preds, cands)
+    ranks = np.empty(len(preds), dtype=np.int64)
+    step = max(1, RANK_BLOCK_FLOATS // cands.size)
+    for start in range(0, len(preds), step):
+        rows = slice(start, start + step)
+        ranks[rows] = _rank_block(preds[rows], cands, true[rows])
+    return int(ranks[0]) if single else ranks
+
+
+def _rank_block(preds: np.ndarray, cands: np.ndarray, true: np.ndarray) -> np.ndarray:
+    """Ranks of one block of rows, as ``rank_next_state`` defines them."""
+    cols = np.arange(len(preds))
+    gap, tol, ok = distance_screen(preds, cands)  # (K, B) scores
+    with np.errstate(over="ignore", invalid="ignore"):
+        gap -= gap[true, cols]  # each score minus its row's true score
+        below = gap < -tol
+        near = np.abs(gap, out=gap) <= tol
+    below[:, ~ok] = False  # the screen cannot judge these rows: every pair is exact
+    near[:, ~ok] = True
+    near[true, cols] = False
+    j, i = np.divmod(np.flatnonzero(near), len(preds))
+    with np.errstate(over="ignore"):
+        d_true = ((cands[true] - preds) ** 2).sum(axis=1)
+        diff = cands[j]
+        diff -= preds[i]
+        d_pair = np.square(diff, out=diff).sum(axis=1)
+    against = np.bincount(i[d_pair <= d_true[i]], minlength=len(preds))
+    return 1 + below.sum(axis=0) + against

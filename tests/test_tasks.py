@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,6 +232,76 @@ def test_rank_matches_sort_oracle():
         pred = rng.normal(size=3)
         true_index = int(rng.integers(8))
         assert rank_next_state(pred, cands, true_index) == rank_by_sort(pred, cands, true_index)
+
+
+@pytest.mark.parametrize("exponent", [-160, -150, 0, 150, 154])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_batched_ranks_match_sort_oracle(exponent, data):
+    """Each row of one batched call ranks as ``rank_by_sort`` ranks it alone.
+
+    Candidates at magnitude ~10**exponent, some duplicated: lattice points
+    (exact ties), Gaussian rows with predictions on candidates, or
+    predictions halfway between their true candidate and another (near ties
+    that rounding decides). At 1e-160 squares underflow and at 1e154 they
+    overflow, outside the screen's range.
+    """
+    N = data.draw(st.integers(1, 60), label="N")
+    K = data.draw(st.integers(1, 60).filter(lambda k: k != N), label="K")
+    F = data.draw(st.integers(1, 24), label="F")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    family = data.draw(st.sampled_from(["lattice", "normal", "midpoint"]), label="family")
+    true = rng.integers(K, size=N)
+    if family == "lattice":
+        unit = 2.0 ** round(exponent * np.log2(10))
+        cands = rng.integers(-3, 4, size=(K, F)) * unit
+        preds = rng.integers(-6, 7, size=(N, F)) * (unit / 2)
+    else:
+        cands = rng.normal(size=(K, F)) * 10.0**exponent
+        cands[rng.integers(K, size=K // 3)] = cands[rng.integers(K, size=K // 3)]
+        if family == "midpoint":
+            preds = (cands[true] + cands[rng.integers(K, size=N)]) / 2
+        else:
+            preds = rng.normal(size=(N, F)) * 10.0**exponent
+            on_code = rng.random(N) < 0.3
+            preds[on_code] = cands[rng.integers(K, size=on_code.sum())]
+    with np.errstate(over="ignore"):
+        expected = [rank_by_sort(preds[i], cands, true[i]) for i in range(N)]
+    got = rank_next_state(preds, cands, true)
+    assert got.shape == (N,) and got.tolist() == expected
+
+
+def test_collapsed_latents_rank_last():
+    """Every latent equal: every pair ties, so every row ranks K."""
+    ranks = rank_next_state(np.full((70, 20), 0.3), np.full((90, 20), 0.3), np.arange(70))
+    assert ranks.tolist() == [90] * 70
+
+
+def test_batched_ranking_memory_is_blocked():
+    """At N = K = 4096, F = 20 an N x K float64 matrix alone is 128 MB."""
+    rng = np.random.default_rng(4)
+    latents, preds = rng.normal(size=(4096, 20)), rng.normal(size=(4096, 20))
+    true = np.arange(4096)
+    tracemalloc.start()
+    try:
+        rank_next_state(preds, latents, true)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 4, f"ranking peak {peak_mb:.1f} MB"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["predicted", "candidate"])
+def test_rank_rejects_non_finite_latents(bad, where):
+    """A NaN prediction used to rank 1, a hit; a NaN true candidate too."""
+    rng = np.random.default_rng(2)
+    preds, cands = rng.normal(size=(5, 4)), rng.normal(size=(6, 4))
+    (preds if where == "predicted" else cands)[2, 1] = bad
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        rank_next_state(preds, cands, np.arange(5))
+    with pytest.raises(FloatingPointError, match="non-finite"):
+        rank_next_state(preds[2], cands, 2)
 
 
 def test_ood_split_differs_only_in_declared_knob():
