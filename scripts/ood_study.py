@@ -18,7 +18,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vqcomm.protocols import STUDIES  # noqa: E402
-from vqcomm.runner import METRIC_COLUMNS, emit_csv, run  # noqa: E402
+from vqcomm.runner import emit_csv, run, split_columns, split_rows  # noqa: E402
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -43,11 +43,11 @@ def main(argv: list[str] | None = None) -> int:
     for arm, arm_configs in configs.items():
         for config in arm_configs:
             final = run(config).final
-            rows += [{"arm": arm, "seed": config.seed, "split": split, **metrics} for split, metrics in final.items()]
+            rows += split_rows({"arm": arm, "seed": config.seed}, final)
             print(f"{arm} seed {config.seed}: {study.split} {study.metric}={final[study.split][study.metric]:.4f}")
 
     kind = next(iter(configs.values()))[0].kind
-    emit_csv(f"{out}.csv", rows, ["arm", "seed", "split"] + [c for c in METRIC_COLUMNS[kind] if c != "split"])
+    emit_csv(f"{out}.csv", rows, split_columns(kind, ["arm", "seed"]))
     for arm in configs:
         values = [r[study.metric] for r in rows if r["arm"] == arm and r["split"] == study.split]
         print(f"{arm}: median {study.split} {study.metric} = {np.median(values):.4f}")

@@ -22,8 +22,16 @@ from .config import ExperimentConfig, load_config, parse_assignments
 from .models.common import ConfigError
 from .quantizer import Codebook, QuantizerConfig, load_codebook, quantize
 from .autodiff import Tensor
+from .seeding import keyed_rng
 
 log = logging.getLogger("vqcomm")
+
+
+def _check_out_dir(out: str) -> None:
+    """Reject an ``--out`` stem whose directory does not exist: checked before any work, not when files are written."""
+    directory = os.path.dirname(out)
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(f"out: no directory {directory!r} to write {out!r} in")
 
 
 def _build_config(args) -> ExperimentConfig:
@@ -35,9 +43,7 @@ def _build_config(args) -> ExperimentConfig:
     if args.out:
         overrides["out"] = args.out
     config = load_config(args.config, overrides)
-    directory = os.path.dirname(config.out)
-    if directory and not os.path.isdir(directory):  # checked before the run, not when its files are written
-        raise ConfigError(f"out: no directory {directory!r} to write {config.out!r} in")
+    _check_out_dir(config.out)
     return config
 
 
@@ -91,11 +97,11 @@ def _load_codebook(path) -> tuple[Codebook, QuantizerConfig]:
 
 
 def cmd_vector_field(args) -> int:
+    _check_out_dir(args.out or "")
     if args.codebook:
         book, _ = _load_codebook(args.codebook)
     else:
-        rng = np.random.default_rng(_seed(args))
-        book = Codebook(args.L, 2, entries=rng.normal(size=(args.L, 2)), initialized=True)
+        book = Codebook(args.L, 2, entries=keyed_rng(_seed(args)).normal(size=(args.L, 2)), initialized=True)
     rows = theory.vector_field(args.range, args.steps, book)
     if args.out:
         runner.emit_csv(f"{args.out}_field.csv", rows, runner.ANALYSIS_COLUMNS["field"])

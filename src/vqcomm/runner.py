@@ -12,7 +12,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -41,15 +41,24 @@ METRIC_COLUMNS = {
     "transformer-toy": ["split", "loss", "accuracy"],
 }
 
-_BOUND_INPUT_COLUMNS = ["G", "L", "m", "n", "delta", "alpha", "varsigma_bar", "R_H", "zeta", "C_J", "L_d", "rho"]
-
 ANALYSIS_COLUMNS = {
     "variance": ["L", "G", "samples", "trials", "mean_total_variance", "mean_raw_variance"],
     "attention": ["seed", "quantized", "train_distractors", "test_distractors", "accuracy", "train_accuracy"],
-    "bounds": _BOUND_INPUT_COLUMNS + ["bound_with", "bound_without", "covering_with", "covering_without"],
+    "bounds": [f.name for f in fields(theory.BoundInputs)]
+    + ["bound_with", "bound_without", "covering_with", "covering_without"],
     "hoeffding": ["trial", "gap", "bound", "violated"],
     "field": ["x", "y", "dx", "dy", "code"],
 }
+
+
+def split_columns(kind: str, keys: list[str]) -> list[str]:
+    """The header of a per-split table: ``keys``, then ``split``, then ``METRIC_COLUMNS[kind]``'s metrics."""
+    return [*keys, "split", *(c for c in METRIC_COLUMNS[kind] if c != "split")]
+
+
+def split_rows(keys: dict, final: dict) -> list[dict]:
+    """One row per split of a training run's ``final`` block, in ``split_columns`` order."""
+    return [{**keys, "split": split, **metrics} for split, metrics in final.items()]
 
 
 @dataclass
@@ -135,13 +144,11 @@ def emit_json(path, obj) -> None:
 def emit_record(record: RunRecord, out: str) -> list[str]:
     """Write the record JSON plus kind-specific CSV metric files."""
     kind = record.config["kind"]
-    written = []
     emit_json(f"{out}.json", record.to_dict())
-    written.append(f"{out}.json")
+    written = [f"{out}.json"]
     if kind in METRIC_COLUMNS:
         emit_csv(f"{out}_epochs.csv", record.epochs, EPOCH_COLUMNS)
-        rows = [dict(split=s, **m) for s, m in record.final.items()]
-        emit_csv(f"{out}_metrics.csv", rows, METRIC_COLUMNS[kind])
+        emit_csv(f"{out}_metrics.csv", split_rows({}, record.final), split_columns(kind, []))
         written += [f"{out}_epochs.csv", f"{out}_metrics.csv"]
     elif kind == "gaussian-analysis":
         emit_csv(f"{out}_variance.csv", record.final["variance"], ANALYSIS_COLUMNS["variance"])
@@ -402,21 +409,11 @@ def run_bounds(config: ExperimentConfig) -> RunRecord:
     t = config.task
     q = config.quantizer
     inputs = theory.BoundInputs(
-        G=q.G,
-        L=q.L,
-        m=t.bound_m,
-        n=t.bound_n,
-        delta=t.delta,
-        alpha=t.alpha,
-        varsigma_bar=t.varsigma_bar,
-        R_H=t.R_H,
-        zeta=t.zeta,
-        C_J=t.C_J,
-        L_d=t.L_d,
-        rho=t.rho,
+        G=q.G, L=q.L, m=t.bound_m, n=t.bound_n, delta=t.delta, alpha=t.alpha, varsigma_bar=t.varsigma_bar,
+        R_H=t.R_H, zeta=t.zeta, C_J=t.C_J, L_d=t.L_d, rho=t.rho,
     )
     final = {
-        **{name: getattr(inputs, name) for name in _BOUND_INPUT_COLUMNS},
+        **asdict(inputs),
         "bound_with": theory.bound_with_discretization(inputs),
         "bound_without": theory.bound_without_discretization(inputs),
         "covering_with": theory.covering_bound_with(inputs),
@@ -521,13 +518,10 @@ def sweep(
                 cells.append(config_from_dict(cfg_dict))
     for cfg in cells:
         records.append(run(cfg))
-        for split, metrics in records[-1].final.items():
-            rows.append({"L": cfg.quantizer.L, "G": cfg.quantizer.G, "seed": cfg.seed, "split": split, **metrics})
+        rows += split_rows({"L": cfg.quantizer.L, "G": cfg.quantizer.G, "seed": cfg.seed}, records[-1].final)
     return records, skipped, rows
 
 
 def emit_sweep(out: str, base: ExperimentConfig, rows: list[dict], skipped: list[dict]) -> None:
-    metric_cols = METRIC_COLUMNS[base.kind]
-    columns = ["L", "G", "seed", "split"] + [c for c in metric_cols if c != "split"]
-    emit_csv(f"{out}_sweep.csv", rows, columns)
+    emit_csv(f"{out}_sweep.csv", rows, split_columns(base.kind, ["L", "G", "seed"]))
     emit_json(f"{out}_sweep.json", {"config": base.to_dict(), "skipped": skipped, "rows": rows})

@@ -38,8 +38,8 @@ class BoundInputs:
     n: int = 1000
     delta: float = 0.05
     alpha: float = 1.0
-    R_H: float = 1.0
     varsigma_bar: float = 0.0
+    R_H: float = 1.0
     zeta: float = 1.0
     C_J: float = 1.0
     L_d: float = 1.0

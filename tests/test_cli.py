@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from vqcomm import runner
+from vqcomm import cli, runner, seeding, theory
 from vqcomm.autodiff import ShapeError
 from vqcomm.cli import build_parser, main
 from vqcomm.config import FIELD_RULES, config_from_dict, parse_assignments
@@ -75,6 +75,8 @@ def test_run_config_file(tmp_path):
     rc = main(["run", "--config", str(cfg), "--out", str(out)])
     assert rc == 0
     header, row = (tmp_path / "b_bounds.csv").read_text().splitlines()
+    assert header == ("G,L,m,n,delta,alpha,varsigma_bar,R_H,zeta,C_J,L_d,rho,"
+                      "bound_with,bound_without,covering_with,covering_without")
     cols = dict(zip(header.split(","), row.split(",")))
     assert abs(float(cols["bound_with"]) - 0.05230049721515383) < 1e-12
 
@@ -108,6 +110,22 @@ def test_vector_field_subcommand(tmp_path):
     lines = (tmp_path / "f_field.csv").read_text().splitlines()
     assert lines[0] == "x,y,dx,dy,code"
     assert len(lines) == 26
+
+
+def test_readme_vector_field_line_writes_the_seeded_field(tmp_path, monkeypatch):
+    """The README's field line draws its random codebook from ``seeding.keyed_rng(seed)``
+    and writes exactly that codebook's field."""
+    seeds = []
+    monkeypatch.setattr(cli, "keyed_rng", lambda seed: seeds.append(seed) or seeding.keyed_rng(seed))
+    (line,) = [c for c in _readme_commands("vqcomm") if c.startswith("vqcomm vector-field ")]
+    argv = shlex.split(line)[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "g")
+    assert argv == ["vector-field", "--L", "5", "--range", "2", "--steps", "21", "--seed", "0", "--out", argv[-1]]
+    assert main(argv) == 0
+    assert seeds == [0]
+    book = Codebook(5, 2, entries=seeding.keyed_rng(0).normal(size=(5, 2)), initialized=True)
+    runner.emit_csv(tmp_path / "want.csv", theory.vector_field(2.0, 21, book), runner.ANALYSIS_COLUMNS["field"])
+    assert (tmp_path / "g_field.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_quantize_subcommand_stdin(tmp_path):
@@ -373,6 +391,18 @@ def test_missing_out_directory_is_config_error_before_any_work(tmp_path, monkeyp
     assert not list(tmp_path.iterdir())
 
 
+def test_vector_field_missing_out_directory_is_config_error_before_any_work(tmp_path, monkeypatch, capsys):
+    """It used to compute the whole field, then fail on the temp file of its CSV."""
+    def no_field(*args, **kwargs):
+        raise AssertionError("computed the field before the output directory was checked")
+
+    monkeypatch.setattr(theory, "vector_field", no_field)
+    assert main(["vector-field", "--L", "5", "--out", str(tmp_path / "missing" / "f")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and repr(str(tmp_path / "missing")) in err and ".tmp" not in err
+    assert not list(tmp_path.iterdir())
+
+
 def _readme_commands(program: str) -> list[str]:
     """Every ``program`` command line in README.md's bash blocks, continuations joined and pipes cut."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -463,6 +493,23 @@ def test_bad_sites_and_tuple_values_are_config_errors(argv, capsys):
     non-integer tuple element are rejected before the run."""
     assert main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_transformer_toy_run_and_sweep_tables(tmp_path):
+    """Run and sweep tables of a second kind: key columns, then ``split``, then ``loss,accuracy``."""
+    assert main([*_tiny_run("transformer-toy"), "--out", str(tmp_path / "r")]) == 0
+    lines = (tmp_path / "r_metrics.csv").read_text().splitlines()
+    assert lines[0] == "split,loss,accuracy"
+    assert [line.split(",")[0] for line in lines[1:]] == ["in_dist", "ood_test"]
+    sweep = ["sweep", *_tiny_run("transformer-toy")[1:], "--L", "2,4", "--G", "2", "--seeds", "0,1"]
+    assert main([*sweep, "--out", str(tmp_path / "s")]) == 0
+    lines = (tmp_path / "s_sweep.csv").read_text().splitlines()
+    assert lines[0] == "L,G,seed,split,loss,accuracy"
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        [L, "2", seed, split] for L in "24" for seed in "01" for split in ("in_dist", "ood_test")
+    ]
+    rows = json.loads((tmp_path / "s_sweep.json").read_text())["rows"]
+    assert [list(row) for row in rows] == [lines[0].split(",")] * 8
 
 
 @pytest.mark.parametrize("kind", sorted(_TINY_RUNS))

@@ -46,6 +46,19 @@ def _tiny_adding(discretize: bool, seed: int):
     )
 
 
+def _tiny_transformer(seed: int):
+    return config_from_dict(
+        {
+            "kind": "transformer-toy",
+            "seed": seed,
+            "task": {"train_count": 8, "eval_count": 4, "vocab": 3, "train_len": 6, "test_len": 8, "max_len": 8},
+            "training": {"epochs": 1, "batch_size": 4},
+            "model": {"dim": 4, "heads": 2, "blocks": 2},
+            "quantizer": {"discretize": True, "L": 4, "G": 2, "warmup_vectors": 8},
+        }
+    )
+
+
 @pytest.fixture
 def ood_study(monkeypatch):
     """The script's module, with a two-arm, two-seed study ``tiny`` in the table."""
@@ -77,6 +90,16 @@ def test_ood_study_writes_one_row_per_arm_seed_and_split(ood_study, tmp_path, ca
 def test_ood_study_runs_only_the_named_arms(ood_study, tmp_path):
     assert ood_study.main(["tiny", "vq", "--seeds", "1", "--out", str(tmp_path / "t")]) == 0
     assert [r[:2] for r in _rows(tmp_path / "t.csv")[1:]] == [["vq", "0"]] * 3
+
+
+def test_ood_study_table_ends_in_the_kinds_metrics(ood_study, monkeypatch, tmp_path):
+    """A transformer-toy study's table has that kind's metric columns, ``loss,accuracy``."""
+    study = Study(arms={"vq": _tiny_transformer}, seeds=1, split="ood_test", metric="accuracy")
+    monkeypatch.setitem(protocols.STUDIES, "toy", study)
+    assert ood_study.main(["toy", "--out", str(tmp_path / "t")]) == 0
+    header, *rows = _rows(tmp_path / "t.csv")
+    assert header == ["arm", "seed", "split", "loss", "accuracy"]
+    assert [r[:3] for r in rows] == [["vq", "0", "in_dist"], ["vq", "0", "ood_test"]]
 
 
 @pytest.mark.parametrize(
