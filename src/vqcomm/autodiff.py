@@ -274,19 +274,55 @@ def split(x, sections: int, axis: int = -1) -> list[Tensor]:
     return outs
 
 
+def add_at_rows(L: int, lead: np.ndarray | None, idx: np.ndarray, blocks, scales) -> np.ndarray:
+    """``lead`` (L, d), or zeros when None, plus each scaled row of ``blocks`` at its row ``idx`` in [0, L).
+
+    ``blocks`` is a list of (n_s, d) arrays whose rows, in order, go to the
+    rows ``idx`` names, block s multiplied by ``scales[s]``. The result has
+    the bits of ``np.add.at`` onto a copy of ``lead``, in a new array. Each
+    column takes one ``np.bincount`` over the rows in order, which adds
+    every table row's terms in the order of the ``add.at`` chain; ``lead``
+    goes in as the first L terms, as the chain's starting value. bincount
+    starts each sum from +0.0, so where the lead and every term of a sum are
+    -0.0 (a row no index hits, say) the sum gets its -0.0 back.
+    """
+    d = blocks[0].shape[1]
+    start = 0 if lead is None else L
+    if lead is not None:
+        idx = np.concatenate([np.arange(L), idx])
+    weights = np.empty(len(idx))
+    out = np.empty((L, d))
+    for k in range(d):
+        if lead is not None:
+            weights[:L] = lead[:, k]
+        at = start
+        for block, scale in zip(blocks, scales):
+            np.multiply(block[:, k], scale, out=weights[at : at + len(block)])
+            at += len(block)
+        out[:, k] = np.bincount(idx, weights=weights, minlength=L)
+    if lead is not None:
+        keep = np.signbit(lead) & (out == 0)
+        if keep.any():
+            terms = np.concatenate([block * scale for block, scale in zip(blocks, scales)])
+            spoiled = np.zeros((L, d), dtype=bool)  # a term other than -0.0 reached the sum
+            np.logical_or.at(spoiled, idx[L:], (terms != 0) | ~np.signbit(terms))
+            out[keep & ~spoiled] = -0.0
+    return out
+
+
 def gather_rows(x, indices) -> Tensor:
-    """Pick rows of a 2-D tensor; ``indices`` is any integer array."""
+    """Pick rows of a 2-D tensor; ``indices`` is any integer array of row numbers in [0, rows)."""
     x = as_tensor(x)
     if x.ndim != 2:
         raise ShapeError(f"gather_rows: expected 2-D table, got {x.shape}")
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and idx.min() < 0:
+        raise ShapeError(f"gather_rows: negative row index {idx.min()}")
     data = x.data[idx]
 
     def backward(g):
         if x.requires_grad:
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            np.add.at(x.grad, idx.reshape(-1), g.reshape(-1, x.shape[1]))
+            x.grad = add_at_rows(x.shape[0], x.grad, idx.reshape(-1), [g.reshape(-1, x.shape[1])], [1.0])
 
     return _node(data, (x,), backward)
 

@@ -92,8 +92,8 @@ class CommunicationQuantizer:
         else:
             out = gumbel_quantize(h, self.config, self.codebook, self.temperature, rng=self.rng)
         self._usage += usage_counts(out.indices, self.config.L)
-        if out.codebook_loss.requires_grad or out.commitment_loss.requires_grad:
-            self._outputs.append(out)  # a frozen forward keeps nothing
+        if out.codebook_loss is not None:
+            self._outputs.append(out)  # a frozen snap builds no losses and is not kept
         return out.z
 
     def take_outputs(self) -> list[QuantizationOutput]:

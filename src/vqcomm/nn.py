@@ -74,36 +74,72 @@ class MLP(Module):
         return x
 
 
+def _sigmoid_of_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-(a + b)))``, computed in place in one new contiguous array."""
+    s = np.add(a, b)
+    np.negative(s, out=s)
+    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
+        np.exp(s, out=s)
+    s += 1.0
+    return np.divide(1.0, s, out=s)
+
+
 def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor) -> Tensor:
     """One step of M GRU cells as one tape node: ``h' = (1 - z) * n + z * h``.
 
     Gates are ``[r, z, n]`` along the last axis of ``x @ w_x + b_x`` and
     ``h @ w_h + b_h``. Weights carry a leading module axis M; ``h`` is
     ``(B, M, H)`` and the output too, read through a module-first view so
-    that no transpose node sits on either side. The backward repeats, op for
-    op, the float order of the same cell built from elementwise tape ops, so
-    either form gives bit-identical gradients. Per step the node keeps only
-    what that backward reads: ``r``, ``z``, ``n``, the ``hn`` gate block and
-    the output, five ``(M, B, H)`` arrays.
+    that no transpose node sits on either side. Each gate is computed in
+    place in its own contiguous array. The backward repeats, op for op, the
+    float order of the same cell built from elementwise tape ops, so either
+    form gives bit-identical gradients; it writes ``dr``, ``dz`` and ``dn``
+    into one ``(M, B, 3H)`` buffer. Per step the node keeps only what that
+    backward reads: ``r``, ``z``, ``n``, a copy of the ``hn`` gate block and
+    the output, five ``(M, B, H)`` arrays. A frozen cell builds no node and
+    copies nothing.
     """
+    operands = (h, x, w_x, w_h, b_x, b_h)
     hm = np.swapaxes(h.data, 0, 1)  # (M, B, H)
     H = hm.shape[-1]
-    gx = x.data @ w_x.data + b_x.data
-    gh = hm @ w_h.data + b_h.data
-    hn = gh[..., 2 * H :].copy()  # the backward keeps this block, not all of gh
-    with np.errstate(over="ignore"):  # exp overflow saturates to exactly 0 or 1
-        r = 1.0 / (1.0 + np.exp(-(gx[..., :H] + gh[..., :H])))
-        z = 1.0 / (1.0 + np.exp(-(gx[..., H : 2 * H] + gh[..., H : 2 * H])))
-    n = np.tanh(gx[..., 2 * H :] + r * hn)
-    out = (z * -1.0 + 1.0) * n + z * hm
+    gx = x.data @ w_x.data
+    gx += b_x.data
+    gh = hm @ w_h.data
+    gh += b_h.data
+    hn = gh[..., 2 * H :]
+    if any(t.requires_grad for t in operands):
+        hn = hn.copy()  # the backward keeps this block, not all of gh
+    r = _sigmoid_of_sum(gx[..., :H], gh[..., :H])
+    z = _sigmoid_of_sum(gx[..., H : 2 * H], gh[..., H : 2 * H])
+    n = np.multiply(r, hn)
+    n += gx[..., 2 * H :]
+    np.tanh(n, out=n)
+    out = z * -1.0
+    out += 1.0
+    out *= n
+    out += z * hm
 
     def backward(g):
         g = np.swapaxes(g, 0, 1)
-        dn = g * (z * -1.0 + 1.0) * (1.0 - n * n)  # 1 - z recomputed, not kept
-        dr = dn * hn * r * (1.0 - r)
-        dz = (g * hm - g * n) * z * (1.0 - z)
-        dgx = np.concatenate([dr, dz, dn], axis=-1)
-        dgh = np.concatenate([dr, dz, dn * r], axis=-1)
+        dgx = np.empty(hn.shape[:-1] + (3 * H,))  # [dr, dz, dn]
+        dn = z * -1.0  # 1 - z recomputed, not kept
+        dn += 1.0
+        dn *= g
+        t = n * n
+        np.subtract(1.0, t, out=t)
+        dn = np.multiply(dn, t, out=dgx[..., 2 * H :])
+        dr = dn * hn
+        dr *= r
+        np.subtract(1.0, r, out=t)
+        np.multiply(dr, t, out=dgx[..., :H])
+        dz = g * hm
+        np.multiply(g, n, out=t)
+        dz -= t
+        dz *= z
+        np.subtract(1.0, z, out=t)
+        np.multiply(dz, t, out=dgx[..., H : 2 * H])
+        dgh = dgx.copy()
+        dgh[..., 2 * H :] *= r
         if x.requires_grad:
             ad._accum(x, ad._unbroadcast(dgx @ np.swapaxes(w_x.data, -1, -2), x.shape))
         if h.requires_grad:
@@ -115,7 +151,7 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
             if b.requires_grad:
                 ad._accum(b, ad._unbroadcast(dg, b.shape))
 
-    return ad._node(np.swapaxes(out, 0, 1), (h, x, w_x, w_h, b_x, b_h), backward)
+    return ad._node(np.swapaxes(out, 0, 1), operands, backward)
 
 
 class StackedGRU(Module):

@@ -84,13 +84,13 @@ class Codebook:
 
 @dataclass
 class QuantizationOutput:
-    """Quantized vector plus per-head indices and the two auxiliary losses."""
+    """Quantized vector plus per-head indices and, when the snap trains something, the two auxiliary losses."""
 
     z: Tensor
     indices: np.ndarray  # 1-based, shape (G,) or (batch, G)
-    codebook_loss: Tensor
-    commitment_loss: Tensor
     diff: np.ndarray  # (heads, d): each head minus its code; the codebook gradient reads it
+    codebook_loss: Tensor | None = None  # None when neither h nor the entries require grad
+    commitment_loss: Tensor | None = None
 
 
 @dataclass
@@ -136,8 +136,17 @@ def _exact_nearest(rows: np.ndarray, entries: np.ndarray) -> np.ndarray:
     return best
 
 
-def distance_screen(x: np.ndarray, entries: np.ndarray):
-    """Screen the (N, d) rows of ``x`` against every row of ``entries`` with one GEMM.
+def screen_side(entries: np.ndarray):
+    """The code side of ``distance_screen``: ``(-2 entries, |e_j|^2)``, computed once per codebook."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return -2.0 * entries, np.einsum("ij,ij->i", entries, entries)
+
+
+def distance_screen(x: np.ndarray, side):
+    """Screen the (N, d) rows of ``x`` against every row e_j of a table with one GEMM.
+
+    ``side`` is the table's ``screen_side``, so a caller that screens many
+    blocks of rows against one table computes it once.
 
     Returns ``(score, tol, ok)``: ``score`` (L, N) is ``|e_j|^2 - 2 x.e_j``,
     which is ``|x - e_j|^2 - |x|^2``; ``tol`` (N,) is ``c E`` with
@@ -160,11 +169,11 @@ def distance_screen(x: np.ndarray, entries: np.ndarray):
     distance or a score may overflow; below, tol is subnormal and underflow
     errors are absolute, not relative. Those rows are not ``ok``.
     """
+    neg2, sq = side
     c = 8 * (x.shape[1] + 2) * _EPS
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", entries, entries)
         scale = np.einsum("ij,ij->i", x, x) + sq.max()
-        score = (-2.0 * entries) @ x.T
+        score = neg2 @ x.T
         score += sq[:, None]
         tol = c * scale
     return score, tol, (scale >= _TINY / c) & (scale <= _HUGE)
@@ -178,8 +187,11 @@ def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     ``d >= GEMM_MIN_DIM`` one ``distance_screen`` GEMM screens every code,
     and the loop re-ranks only the heads the screen cannot decide: those
     with another code within ``tol`` of the best score, and those outside
-    the screen's range. Non-finite input, or a head whose nearest distance
-    overflows, raises ``FloatingPointError``.
+    the screen's range. Two integer sums over the codes find both: a head's
+    count of codes within ``tol`` of its best score, and the sum of their
+    indices, which is the nearest index wherever the count is 1. Non-finite
+    input, or a head whose nearest distance overflows, raises
+    ``FloatingPointError``.
     """
     x = np.asarray(x, dtype=np.float64)
     d = entries.shape[1]
@@ -189,11 +201,16 @@ def nearest_indices(x: np.ndarray, entries: np.ndarray) -> np.ndarray:
     if d < GEMM_MIN_DIM:
         return _exact_nearest(flat, entries).reshape(x.shape[:-1])[()]
     _require_finite("nearest-code search", flat, entries)
-    score, tol, ok = distance_screen(flat, entries)
+    score, tol, ok = distance_screen(flat, screen_side(entries))
     with np.errstate(over="ignore", invalid="ignore"):
         near = score <= score.min(axis=0) + tol
-    best = near.argmax(axis=0)
-    redo = (near.sum(axis=0) > 1) | ~ok
+    # counts reach at most L, so they fit; an index sum may wrap, but only where the count is not 1
+    small = np.min_scalar_type(len(entries))
+    near = near.view(np.uint8) if small == np.uint8 else near.astype(small)
+    count = near.sum(axis=0, dtype=small)
+    near *= np.arange(len(entries), dtype=small)[:, None]
+    best = near.sum(axis=0, dtype=small).astype(np.intp)
+    redo = (count != 1) | ~ok
     if redo.any():
         rows = np.flatnonzero(redo)
         best[rows] = _exact_nearest(flat[rows], entries)
@@ -215,47 +232,39 @@ def _add_codebook_grad(entries: Tensor, snaps, g) -> None:
     """Add the codebook-loss gradient of ``snaps``, (indices, diff) pairs, scaled by ``g``.
 
     Snap s sends ``-2 diff_s * (g / heads_s)`` to the rows of its 1-based
-    ``indices``. Each dimension takes one ``np.bincount`` over the heads of
-    all snaps in snap order, which adds every code's terms in the order of
-    a per-snap ``np.add.at`` chain; a gradient already in ``entries.grad``
-    (gumbel's mixture matmul puts one there) leads as L terms, as the
+    ``indices``. ``ad.add_at_rows`` adds them with the bits of a per-snap
+    ``np.add.at`` chain in snap order; a gradient already in
+    ``entries.grad`` (gumbel's mixture matmul puts one there) leads, as the
     chain's starting value would.
     """
-    L, d = entries.shape
-    lead = 0 if entries.grad is None else L
-    idx = np.concatenate([np.arange(1, lead + 1), *(indices.reshape(-1) for indices, _ in snaps)])
+    idx = np.concatenate([indices.reshape(-1) for indices, _ in snaps])
     idx -= 1
-    scales = [-2.0 * (g * (1.0 / diff.shape[0])) for _, diff in snaps]
-    weights = np.empty(len(idx))
-    grad = np.empty((L, d))
-    for k in range(d):
-        if lead:
-            weights[:lead] = entries.grad[:, k]
-        at = lead
-        for (_, diff), scale in zip(snaps, scales):
-            np.multiply(diff[:, k], scale, out=weights[at : at + len(diff)])
-            at += len(diff)
-        grad[:, k] = np.bincount(idx, weights=weights, minlength=L)
-    entries.grad = grad
+    diffs = [diff for _, diff in snaps]
+    scales = [-2.0 * (g * (1.0 / diff.shape[0])) for diff in diffs]
+    entries.grad = ad.add_at_rows(entries.shape[0], entries.grad, idx, diffs, scales)
 
 
 def _snap_output(
     h: Tensor, z: Tensor, idx0: np.ndarray, picked: np.ndarray, config: QuantizerConfig, codebook: Codebook
 ):
-    """Package ``z`` with the indices and the two auxiliary losses of heads ``idx0`` (B, G).
+    """Package ``z`` with the indices, the per-head ``diff`` and the two auxiliary losses of heads ``idx0`` (B, G).
 
     ``picked`` is ``entries[idx0]``. Each loss is one tape node over one
     shared ``diff``: the codebook loss sends gradient only to the entries,
     the commitment loss only to ``h``. Both are the squared head distance
-    averaged over heads and vectors.
+    averaged over heads and vectors. A frozen snap, where neither ``h`` nor
+    the entries require grad, trains nothing and builds no loss.
     """
     entries = codebook.entries
     batch = idx0.shape[0]
     diff = h.data.reshape(batch, config.G, config.d) - picked
-    norm = 1.0 / (batch * config.G)
-    value = (diff * diff).sum(-1).sum() * norm
     indices = (idx0 + 1).astype(np.int64)
     head_diff = diff.reshape(-1, config.d)
+    out = QuantizationOutput(z=z, indices=indices[0] if h.ndim == 1 else indices, diff=head_diff)
+    if not (h.requires_grad or entries.requires_grad):
+        return out
+    norm = 1.0 / (batch * config.G)
+    value = (diff * diff).sum(-1).sum() * norm
 
     def codebook_backward(g):
         _add_codebook_grad(entries, [(indices, head_diff)], g)
@@ -263,13 +272,9 @@ def _snap_output(
     def commitment_backward(g):
         ad._accum(h, (2.0 * diff * (g * norm)).reshape(h.shape))
 
-    return QuantizationOutput(
-        z=z,
-        indices=indices[0] if h.ndim == 1 else indices,
-        codebook_loss=ad._node(value, (entries,), codebook_backward),
-        commitment_loss=ad._node(value, (h,), commitment_backward),
-        diff=head_diff,
-    )
+    out.codebook_loss = ad._node(value, (entries,), codebook_backward)
+    out.commitment_loss = ad._node(value, (h,), commitment_backward)
+    return out
 
 
 def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutput:
@@ -277,7 +282,7 @@ def quantize(h, config: QuantizerConfig, codebook: Codebook) -> QuantizationOutp
 
     ``h`` has shape (..., m): a single vector or any batch of them, counted
     as ``h.size // m`` vectors. Losses are the per-vector head averages,
-    then averaged over the vectors.
+    then averaged over the vectors; a frozen snap has none.
     """
     h = _check_input(h, config, codebook)
     batch = h.size // config.m

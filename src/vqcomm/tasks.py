@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantizer import _require_finite, distance_screen
+from .quantizer import _require_finite, distance_screen, screen_side
 
 DIRECTIONS = ("up", "down", "left", "right", "none")
 _MOVES = {
@@ -199,7 +199,8 @@ def rank_next_state(predicted, candidates, true_index):
     one's. ``distance_screen`` settles every pair whose scores differ by
     more than its tolerance; the rest, and every row outside its range, are
     compared by those exact sums. Rows go in blocks of at most
-    ``RANK_BLOCK_FLOATS`` floats of rows x K x F. Non-finite input raises
+    ``RANK_BLOCK_FLOATS`` floats of rows x K x F, all screened against one
+    ``screen_side`` of the candidates. Non-finite input raises
     ``FloatingPointError``.
     """
     preds = np.asarray(predicted, dtype=np.float64)
@@ -209,17 +210,18 @@ def rank_next_state(predicted, candidates, true_index):
     preds, true = np.atleast_2d(preds), np.atleast_1d(true)
     _require_finite("ranking", preds, cands)
     ranks = np.empty(len(preds), dtype=np.int64)
+    side = screen_side(cands)
     step = max(1, RANK_BLOCK_FLOATS // cands.size)
     for start in range(0, len(preds), step):
         rows = slice(start, start + step)
-        ranks[rows] = _rank_block(preds[rows], cands, true[rows])
+        ranks[rows] = _rank_block(preds[rows], cands, side, true[rows])
     return int(ranks[0]) if single else ranks
 
 
-def _rank_block(preds: np.ndarray, cands: np.ndarray, true: np.ndarray) -> np.ndarray:
-    """Ranks of one block of rows, as ``rank_next_state`` defines them."""
+def _rank_block(preds: np.ndarray, cands: np.ndarray, side, true: np.ndarray) -> np.ndarray:
+    """Ranks of one block of rows, as ``rank_next_state`` defines them; ``side`` is ``screen_side(cands)``."""
     cols = np.arange(len(preds))
-    gap, tol, ok = distance_screen(preds, cands)  # (K, B) scores
+    gap, tol, ok = distance_screen(preds, side)  # (K, B) scores
     with np.errstate(over="ignore", invalid="ignore"):
         gap -= gap[true, cols]  # each score minus its row's true score
         below = gap < -tol

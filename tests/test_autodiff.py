@@ -276,3 +276,31 @@ def test_forward_values_finite_on_finite_inputs():
         ad.cross_entropy(ad.scale(x, 10.0), np.array([0, 1, 2, 3])),
     ]:
         assert np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("prior", [False, True])
+def test_gather_rows_backward_is_the_add_at_chain(prior):
+    """Byte for byte ``np.add.at`` onto the gradient already there (zeros
+    without one): repeated indices add in index order, and a -0.0 survives
+    in rows no index hits and in a row whose every term is -0.0."""
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+    idx = np.array([[4, 1, 4], [0, 4, 6]])  # rows 2, 3 and 5 unhit
+    g = rng.normal(size=(2, 3, 3))
+    g[0, 1, 0] = -0.0
+    g[1, 2] = -0.0  # the one term row 6 gets
+    want = np.zeros(x.shape)
+    if prior:
+        x.grad = rng.normal(size=x.shape)
+        x.grad[[2, 5, 6]] = -0.0
+        x.grad[3] = 0.0
+        want = x.grad.copy()
+    np.add.at(want, idx.reshape(-1), g.reshape(-1, 3))
+    ad.backward(ad.tsum(ad.mul(ad.gather_rows(x, idx), Tensor(g))))
+    assert x.grad.tobytes() == want.tobytes()
+    assert np.signbit(x.grad[[2, 5, 6]]).all() == prior
+
+
+def test_gather_rows_rejects_a_negative_index():
+    with pytest.raises(ShapeError, match="negative"):
+        ad.gather_rows(Tensor(np.ones((3, 2))), [0, -1])

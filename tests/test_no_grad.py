@@ -9,7 +9,7 @@ from vqcomm import autodiff as ad
 from vqcomm import runner
 from vqcomm.autodiff import Tensor
 from vqcomm.models import CommunicationQuantizer, ContrastiveWorldModel, RimModel, RimRegressor, TransformerClassifier
-from vqcomm.nn import Parameter
+from vqcomm.nn import Parameter, StackedGRU
 from vqcomm.quantizer import Codebook, QuantizerConfig, quantize
 
 import oracles
@@ -100,16 +100,59 @@ def test_transformer_forward_unchanged():
 
 
 def test_quantize_unchanged():
+    """A frozen snap gives the taped snap's ``z``, indices and ``diff``, and no losses."""
     rng = np.random.default_rng(4)
     cfg = QuantizerConfig(L=5, G=3, m=6)
     book = Codebook(5, 2, entries=rng.normal(size=(5, 2)), initialized=True)
     h = Parameter(rng.normal(size=(7, 6)))
+    _assert_same_forward(lambda: quantize(h, cfg, book).z, [h, book.entries])
+    taped = quantize(h, cfg, book)
+    with ad.no_grad([h, book.entries]):
+        frozen = quantize(h, cfg, book)
+    assert np.array_equal(frozen.indices, taped.indices) and np.array_equal(frozen.diff, taped.diff)
+    assert taped.codebook_loss is not None and taped.commitment_loss is not None
+    assert frozen.codebook_loss is None and frozen.commitment_loss is None
 
-    def forward():
-        out = quantize(h, cfg, book)
-        return out.z, out.codebook_loss, out.commitment_loss
 
-    _assert_same_forward(forward, [h, book.entries])
+@pytest.mark.parametrize("d", [2, 4])  # the coordinate loop and the GEMM screen
+def test_frozen_snap_equals_the_taped_snap_and_builds_no_loss(d):
+    rng = np.random.default_rng(9)
+    quantizer = _active_quantizer(rng, L=7, G=3, m=3 * d)
+    h = Parameter(rng.normal(size=(5, 2, 3 * d)))
+    params = [h, quantizer.codebook.entries]
+    z = quantizer.apply(h)
+    [taped] = quantizer.take_outputs()
+    usage = quantizer.take_usage()
+    assert usage.sum() == 30
+    with ad.no_grad(params):
+        frozen = quantize(h, quantizer.config, quantizer.codebook)
+        frozen_z = quantizer.apply(h)
+    assert quantizer.take_outputs() == []
+    assert np.array_equal(quantizer.take_usage(), usage)
+    for t in (frozen.z, frozen_z):
+        assert np.array_equal(t.data, z.data) and t._parents == () and not t.requires_grad
+    assert np.array_equal(frozen.indices, taped.indices) and np.array_equal(frozen.diff, taped.diff)
+    assert frozen.codebook_loss is None and frozen.commitment_loss is None
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_frozen_snap_still_rejects_a_nan_head(d):
+    rng = np.random.default_rng(10)
+    quantizer = _active_quantizer(rng, L=5, G=2, m=2 * d)
+    h = rng.normal(size=(4, 2 * d))
+    h[2, d] = np.nan
+    with ad.no_grad([quantizer.codebook.entries]):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            quantizer.apply(Tensor(h))
+    assert quantizer.take_usage().sum() == 0
+
+
+def test_frozen_gru_cell_equals_the_taped_cell():
+    rng = np.random.default_rng(11)
+    gru = StackedGRU(rng, 3, 2, 5)
+    h = Parameter(rng.normal(size=(4, 3, 5)))
+    x = Parameter(rng.normal(size=(4, 2)))
+    _assert_same_forward(lambda: gru(h, x), [h, x] + gru.parameters())
 
 
 def test_quantizer_keeps_outputs_only_when_a_loss_is_on_the_tape():

@@ -137,6 +137,35 @@ def test_nearest_indices_is_the_exact_coordinate_argmin(exponent, data):
     assert np.atleast_1d(got).tolist() == oracle
 
 
+@pytest.mark.parametrize("d", [3, 4, 16])
+@pytest.mark.parametrize("L", [1, 2, 16, 255, 256, 257])  # across the uint8 / uint16 boundary of the code count
+def test_nearest_indices_count_and_index_sum_give_the_argmin(L, d):
+    """The screen's rule: a head with exactly one code within tolerance of its
+    best score takes that code's index, the sum of its near indices; every
+    other head, and every head outside the screen's range, is re-ranked.
+    Heads sit on codes and on midpoints between two codes of a half-integer
+    lattice (exact ties, and duplicate codes), at random, and at 1e-160 and
+    1e154, where every code is within tolerance or the row is out of range."""
+    rng = np.random.default_rng(1000 * L + d)
+    entries = rng.integers(-3, 4, size=(L, d)) / 2.0
+    a, b = rng.integers(L, size=(2, 40))
+    far = rng.normal(size=(6, d))
+    far /= np.linalg.norm(far, axis=1, keepdims=True)
+    x = np.concatenate(
+        [
+            entries[a],
+            (entries[a] + entries[b]) / 2,
+            rng.normal(size=(40, d)),
+            rng.normal(size=(6, d)) * 1e-160,
+            far * 1e154,
+            far * 1e152,
+        ]
+    )
+    for scale in (1.0, 2.0**-532):  # and the whole case near 1e-160, where squares are subnormal
+        want = code_distances(x * scale, entries * scale).argmin(-1)
+        assert np.array_equal(nearest_indices(x * scale, entries * scale), want)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["head", "code"])
