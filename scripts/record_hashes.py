@@ -43,12 +43,12 @@ RUNS = {
 REFERENCE = {
     "adding-vq": "78889b8c9efb534ee3210bb47ded7216026437e39eca08514bfba143e089e014",
     "adding-base": "9aa8c8d2c135f11eb4ae32ce8848ba9c4336f3e1b1e748ea001f523080b93274",
-    "gridworld-vq": "02cce47f18d5baae6d9fe86786668d2e1061e68eaf3a59a1448527288b71ac7f",
+    "gridworld-vq": "eaac8fc397ef23dd8355614b1e89fc02fbdd48c5c7139b475ac13a9b5ab9b082",
     "analysis": "0eb5726dba957089942226de0962ea06a6f1a2cd3cd865fba5bc2e8751a4a14c",
     "adding-gumbel": "281e0a5ac63934dace68360d84d30ae7139c9bf80ef233a16160005e990f6f4d",
     "adding-communication_input": "42359c6ceffc620241866278cb993504f59e686348b89fe38f8b572f830ad557",
     "adding-recurrent_update": "6f34f4434fcd05df490c56250ca3a0c1c99fb32dab8f47ae74c88452d0df6795",
-    "gridworld-base": "3cbcbcd53ea2477c11d48c00e5d1f550144c7394ba3f8b01b230ef409ad11da3",
+    "gridworld-base": "0f3bedadc78cad01b84cd41cff735afadb60c7daf31672381b446c725b7a61bf",
     "transformer-base": "bcff90242b2cb1d06dfad12474fafdc5e77e466c6fccfcdaf5b4c6f9769d19a8",
     "transformer-vq": "a8f662abacd1d548515c5eada99b7e878ab296b0c9bbee0b7c154fa388f74a2f",
 }

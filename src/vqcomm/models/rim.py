@@ -102,24 +102,36 @@ def _blend(mask: np.ndarray, cand: Tensor, state: Tensor) -> Tensor:
     return ad._node(out, (cand, state), backward)
 
 
-def _communicate(model: RimModel, updated: Tensor, source: Tensor) -> Tensor:
+def _communicate(model: RimModel, updated: Tensor, source: Tensor, residual: bool = False) -> Tensor:
     """Query-key-value attention among the modules as one tape node.
 
     Queries read ``updated``; keys and values read ``source``, which is
-    ``updated`` unless the communication input is quantized. The backward
-    repeats the float order of the composite graph (three projections, the
-    key transpose, the scaled scores, the softmax and ``att @ v``) and
-    accumulates into the inputs in query, key, value order, so both forms
-    give bit-identical gradients.
+    ``updated`` unless the communication input is quantized. With
+    ``residual`` the node returns ``updated + att @ v``, the step's new
+    state, and its backward adds the incoming gradient into ``updated``
+    first, as the add node did. The backward repeats the float order of the
+    composite graph (three projections, the key transpose, the scaled
+    scores, the softmax and ``att @ v``) and accumulates into the inputs in
+    query, key, value order, so both forms give bit-identical gradients.
+    The node keeps only the attention weights: the backward recomputes the
+    three projections, the same products of the same arrays.
     """
     w_q, w_k, w_v = model.comm_query.weight, model.comm_key.weight, model.comm_value.weight
     c = 1.0 / math.sqrt(model.att_dim)
-    q = updated.data @ w_q.data
-    k = source.data @ w_k.data
-    v = source.data @ w_v.data
+
+    def projections():
+        return updated.data @ w_q.data, source.data @ w_k.data, source.data @ w_v.data
+
+    q, k, v = projections()
     att = ad.softmax_rows((q @ np.swapaxes(k, -1, -2)) * c)  # (B, M, M)
+    out = att @ v
+    if residual:
+        out = updated.data + out
 
     def backward(g):
+        if residual and updated.requires_grad:
+            ad._accum(updated, g)
+        q, k, v = projections()
         d_att = g @ np.swapaxes(v, -1, -2)
         d_v = np.swapaxes(att, -1, -2) @ g
         d_scores = att * (d_att - (d_att * att).sum(axis=-1, keepdims=True)) * c
@@ -132,26 +144,34 @@ def _communicate(model: RimModel, updated: Tensor, source: Tensor) -> Tensor:
                 ad._accum(w, ad._unbroadcast(np.swapaxes(x.data, -1, -2) @ dy, w.shape))
 
     parents = (updated, w_q, w_k, w_v) if source is updated else (updated, source, w_q, w_k, w_v)
-    return ad._node(att @ v, parents, backward)
+    return ad._node(out, parents, backward)
 
 
 def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
-    """One time step; returns the new state. ``state``: (B, M, H); ``x_t``: (B, input_dim)."""
-    x_t = snap_site(model.quantizer, model.site == "raw_input", x_t)
+    """One time step; returns the new state. ``state``: (B, M, H); ``x_t``: (B, input_dim).
+
+    Two tape nodes without a snap: the GRU node blends the active modules'
+    candidates into the state, and the communication node adds its result
+    to that. A snap splits the node it sits in.
+    """
+    site = model.site if model.quantizer is not None else None
+    x_t = snap_site(model.quantizer, site == "raw_input", x_t)
 
     scores = input_attention_scores(model, state, x_t)
     mask = top_k_mask(scores, model.k)  # (B, M)
 
-    # recurrent candidates for all modules at once; inactive rows keep state
-    cand = model.gru(state, x_t)  # (B, M, H)
-    if model.quantizer is not None and model.site == "recurrent_update":
-        # not snap_site: the sub and add around the snap must not run when the site is off
+    if site == "recurrent_update":
+        # the snap sits between the candidates and the blend
+        cand = model.gru(state, x_t)  # (B, M, H)
         cand = ad.add(state, model.quantizer.apply(ad.sub(cand, state)))
-    updated = _blend(mask, cand, state)  # (B, M, H)
+        updated = _blend(mask, cand, state)
+    else:
+        updated = model.gru(state, x_t, mask)  # inactive modules keep their state
 
-    comm_source = snap_site(model.quantizer, model.site == "communication_input", updated)
-    h = snap_site(model.quantizer, model.site == "communication_result", _communicate(model, updated, comm_source))
-    return ad.add(updated, h)
+    comm_source = snap_site(model.quantizer, site == "communication_input", updated)
+    if site == "communication_result":
+        return ad.add(updated, model.quantizer.apply(_communicate(model, updated, comm_source)))
+    return _communicate(model, updated, comm_source, residual=True)
 
 
 # perfbench/tracing.py wraps the RIM step by this name too; without it a

@@ -84,7 +84,15 @@ def _sigmoid_of_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(1.0, s, out=s)
 
 
-def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: Tensor) -> Tensor:
+def gru_cell(
+    h: Tensor,
+    x: Tensor,
+    w_x: Tensor,
+    w_h: Tensor,
+    b_x: Tensor,
+    b_h: Tensor,
+    mask: np.ndarray | None = None,
+) -> Tensor:
     """One step of M GRU cells as one tape node: ``h' = (1 - z) * n + z * h``.
 
     Gates are ``[r, z, n]`` along the last axis of ``x @ w_x + b_x`` and
@@ -94,10 +102,17 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
     place in its own contiguous array. The backward repeats, op for op, the
     float order of the same cell built from elementwise tape ops, so either
     form gives bit-identical gradients; it writes ``dr``, ``dz`` and ``dn``
-    into one ``(M, B, 3H)`` buffer. Per step the node keeps only what that
-    backward reads: ``r``, ``z``, ``n``, a copy of the ``hn`` gate block and
-    the output, five ``(M, B, H)`` arrays. A frozen cell builds no node and
-    copies nothing.
+    into one ``(M, B, 3H)`` buffer.
+
+    With a ``(B, M)`` 0/1 ``mask`` the node also blends, ``on * h' + off * h``
+    with ``_blend``'s operations, so modules with mask 0 keep their state
+    and the unblended candidate is never kept. Its backward sends
+    ``g * off`` to ``h`` before the cell's own gradient, the order in which
+    a cell node followed by a blend node reached ``h``.
+
+    Per step the node keeps only what its backward reads: ``r``, ``z``,
+    ``n``, a copy of the ``hn`` gate block and the output, five ``(M, B, H)``
+    arrays. A frozen cell builds no node and copies nothing.
     """
     operands = (h, x, w_x, w_h, b_x, b_h)
     hm = np.swapaxes(h.data, 0, 1)  # (M, B, H)
@@ -118,8 +133,17 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
     out += 1.0
     out *= n
     out += z * hm
+    out = np.swapaxes(out, 0, 1)
+    if mask is not None:
+        on = mask[:, :, None]
+        off = 1.0 - on
+        out = on * out + off * h.data
 
     def backward(g):
+        if mask is not None:
+            if h.requires_grad:
+                ad._accum(h, g * off)
+            g = g * on
         g = np.swapaxes(g, 0, 1)
         dgx = np.empty(hn.shape[:-1] + (3 * H,))  # [dr, dz, dn]
         dn = z * -1.0  # 1 - z recomputed, not kept
@@ -151,7 +175,7 @@ def gru_cell(h: Tensor, x: Tensor, w_x: Tensor, w_h: Tensor, b_x: Tensor, b_h: T
             if b.requires_grad:
                 ad._accum(b, ad._unbroadcast(dg, b.shape))
 
-    return ad._node(np.swapaxes(out, 0, 1), operands, backward)
+    return ad._node(out, operands, backward)
 
 
 class StackedGRU(Module):
@@ -171,6 +195,9 @@ class StackedGRU(Module):
         self.b_x = Parameter(np.zeros((modules, 1, 3 * d_hidden)), name=f"{name}.b_x")
         self.b_h = Parameter(np.zeros((modules, 1, 3 * d_hidden)), name=f"{name}.b_h")
 
-    def __call__(self, h: Tensor, x: Tensor) -> Tensor:
-        """h: (B, M, H); x: (B, d_in) shared by all modules -> (B, M, H)."""
-        return gru_cell(h, x, self.w_x, self.w_h, self.b_x, self.b_h)
+    def __call__(self, h: Tensor, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+        """h: (B, M, H); x: (B, d_in) shared by all modules -> (B, M, H).
+
+        With a (B, M) 0/1 ``mask`` only the modules marked 1 update.
+        """
+        return gru_cell(h, x, self.w_x, self.w_h, self.b_x, self.b_h, mask)

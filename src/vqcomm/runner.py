@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import theory
 from .autodiff import Tensor
-from .config import ADDING_INPUT_DIM, ExperimentConfig, config_from_dict, quantizer_dim
+from .config import ADDING_INPUT_DIM, ExperimentConfig, TaskSettings, config_from_dict, quantizer_dim
 from .models.attention import TransformerClassifier
 from .models.common import CommunicationQuantizer, ConfigError
 from .models.gnn import ContrastiveWorldModel
@@ -307,17 +307,20 @@ def _eval_gridworld(model, obs, act, nxt) -> dict:
     return {"hits_at_1": hits_at_k(ranks, 1), "mrr": mrr(ranks)}
 
 
+def _transitions(t: TaskSettings, num_objects: int, count: int, rng: np.random.Generator):
+    """Exactly ``count`` transitions: enough whole episodes, then the first ``count`` rows."""
+    episodes = -(-count // t.episode_steps)
+    data = gen_gridworld_episodes(num_objects, t.grid_size, t.episode_steps, episodes, rng)
+    return tuple(a[:count] for a in data)
+
+
 def run_gridworld(config: ExperimentConfig) -> RunRecord:
     t = config.task
-    data_rng = stream_rng(config.seed, "data")
-    episodes = max(1, t.train_transitions // t.episode_steps)
-    train = gen_gridworld_episodes(t.train_objects, t.grid_size, t.episode_steps, episodes, data_rng)
-    obs, act, nxt = (a[: t.train_transitions] for a in train)
+    obs, act, nxt = _transitions(t, t.train_objects, t.train_transitions, stream_rng(config.seed, "data"))
     eval_rng = stream_rng(config.seed, "evaluation")
-    eval_eps = max(1, t.eval_transitions // t.episode_steps)
-    splits = {"in_dist": gen_gridworld_episodes(t.train_objects, t.grid_size, t.episode_steps, eval_eps, eval_rng)}
+    splits = {"in_dist": _transitions(t, t.train_objects, t.eval_transitions, eval_rng)}
     for i, n_obj in enumerate(t.ood_objects, start=1):
-        splits[f"ood_{i}"] = gen_gridworld_episodes(n_obj, t.grid_size, t.episode_steps, eval_eps, eval_rng)
+        splits[f"ood_{i}"] = _transitions(t, n_obj, t.eval_transitions, eval_rng)
 
     init_rng = stream_rng(config.seed, "init")
     quantizer = _build_quantizer(config)

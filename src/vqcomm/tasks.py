@@ -184,8 +184,9 @@ def mrr(rankings) -> float:
     return float((1.0 / ranks).mean())
 
 
-# A ranking block holds at most this many floats of rows x candidates x features.
-RANK_BLOCK_FLOATS = 2**18
+# A ranking block scores at most this many candidate x row pairs, and
+# compares its near pairs this many floats (pairs x features) at a time.
+RANK_BLOCK_FLOATS = 2**17
 
 
 def rank_next_state(predicted, candidates, true_index):
@@ -198,9 +199,11 @@ def rank_next_state(predicted, candidates, true_index):
     ``((candidates[j] - predicted[i]) ** 2).sum()`` is at most the true
     one's. ``distance_screen`` settles every pair whose scores differ by
     more than its tolerance; the rest, and every row outside its range, are
-    compared by those exact sums. Rows go in blocks of at most
-    ``RANK_BLOCK_FLOATS`` floats of rows x K x F, all screened against one
-    ``screen_side`` of the candidates. Non-finite input raises
+    compared by those exact sums. Rows go in blocks whose (K, rows) scores
+    hold at most ``RANK_BLOCK_FLOATS`` floats, all screened against one
+    ``screen_side`` of the candidates, and a block compares its near pairs
+    in chunks of at most ``RANK_BLOCK_FLOATS`` floats, so memory stays
+    bounded when every pair is near. Non-finite input raises
     ``FloatingPointError``.
     """
     preds = np.asarray(predicted, dtype=np.float64)
@@ -211,7 +214,7 @@ def rank_next_state(predicted, candidates, true_index):
     _require_finite("ranking", preds, cands)
     ranks = np.empty(len(preds), dtype=np.int64)
     side = screen_side(cands)
-    step = max(1, RANK_BLOCK_FLOATS // cands.size)
+    step = max(1, RANK_BLOCK_FLOATS // len(cands))
     for start in range(0, len(preds), step):
         rows = slice(start, start + step)
         ranks[rows] = _rank_block(preds[rows], cands, side, true[rows])
@@ -226,14 +229,19 @@ def _rank_block(preds: np.ndarray, cands: np.ndarray, side, true: np.ndarray) ->
         gap -= gap[true, cols]  # each score minus its row's true score
         below = gap < -tol
         near = np.abs(gap, out=gap) <= tol
+    del gap  # freed before the near pairs are compared
     below[:, ~ok] = False  # the screen cannot judge these rows: every pair is exact
     near[:, ~ok] = True
     near[true, cols] = False
-    j, i = np.divmod(np.flatnonzero(near), len(preds))
+    pairs = np.flatnonzero(near)
+    against = np.zeros(len(preds), dtype=np.int64)
+    chunk = max(1, RANK_BLOCK_FLOATS // (2 * cands.shape[1]))  # cands[j] and preds[i]
     with np.errstate(over="ignore"):
         d_true = ((cands[true] - preds) ** 2).sum(axis=1)
-        diff = cands[j]
-        diff -= preds[i]
-        d_pair = np.square(diff, out=diff).sum(axis=1)
-    against = np.bincount(i[d_pair <= d_true[i]], minlength=len(preds))
+        for start in range(0, len(pairs), chunk):
+            j, i = np.divmod(pairs[start : start + chunk], len(preds))
+            diff = cands[j]
+            diff -= preds[i]
+            d_pair = np.square(diff, out=diff).sum(axis=1)
+            against += np.bincount(i[d_pair <= d_true[i]], minlength=len(preds))
     return 1 + below.sum(axis=0) + against

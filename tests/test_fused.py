@@ -27,7 +27,7 @@ from vqcomm.models.rim import (
     rim_step,
     top_k_mask,
 )
-from vqcomm.nn import StackedGRU
+from vqcomm.nn import StackedGRU, gru_cell
 from vqcomm.protocols import adding_config
 from vqcomm.quantizer import (
     Codebook,
@@ -453,6 +453,46 @@ def test_stacked_gru_gradcheck():
         assert np.max(np.abs(g - e)) < 1e-6
 
 
+GRU_MASK = np.array([[1.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 0.0]])
+
+
+def _masked_cell(h, x, w_x, w_h, b_x, b_h):
+    return gru_cell(h, x, w_x, w_h, b_x, b_h, GRU_MASK)
+
+
+def _cell_then_blend(h, x, w_x, w_h, b_x, b_h):
+    return _blend(GRU_MASK, gru_cell(h, x, w_x, w_h, b_x, b_h), h)
+
+
+def test_masked_gru_cell_matches_cell_then_blend():
+    """The blending cell node against the cell node followed by the blend
+    node: the same values, and ``h`` takes ``g * off`` before the cell's
+    own gradient, so every sum keeps its order."""
+    rng = np.random.default_rng(25)
+    arrays = _gru_arrays(rng)
+    weight = rng.normal(size=arrays[0].shape)
+    out_f, grads_f = _cell_result(_masked_cell, arrays, weight)
+    out_c, grads_c = _cell_result(_cell_then_blend, arrays, weight)
+    _assert_same(out_f, out_c)
+    for a, b in zip(grads_f, grads_c):
+        _assert_same(a, b)
+    assert np.array_equal(out_f[1], arrays[0][1])  # an all-zero mask row keeps its state
+
+
+def test_masked_gru_cell_gradcheck():
+    rng = np.random.default_rng(26)
+    arrays = _gru_arrays(rng)
+    weight = rng.normal(size=arrays[0].shape)
+
+    def scalar(arrs):
+        return float((_masked_cell(*[Tensor(a) for a in arrs]).data * weight).sum())
+
+    expected = finite_difference_grads(scalar, [a.copy() for a in arrays])
+    _, grads = _cell_result(_masked_cell, arrays, weight)
+    for g, e in zip(grads, expected):
+        assert np.max(np.abs(g - e)) < 1e-6
+
+
 # ---------------------------------------------------------------------------
 # fused RIM step: blend and communication block
 # ---------------------------------------------------------------------------
@@ -538,13 +578,18 @@ def _comm_model(arrays, att_dim):
     )
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "separate-source"])
-def test_communicate_gradcheck(shared):
-    rng = np.random.default_rng(31)
+def _comm_arrays(rng):
     B, M, H, A = 2, 3, 4, 5
     arrays = [rng.normal(size=(B, M, H)), rng.normal(size=(B, M, H))]
     arrays += [rng.normal(size=(H, A)), rng.normal(size=(H, A)), rng.normal(size=(H, H))]
-    weight = rng.normal(size=(B, M, H))
+    return arrays, A
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "separate-source"])
+def test_communicate_gradcheck(shared):
+    rng = np.random.default_rng(31)
+    arrays, A = _comm_arrays(rng)
+    weight = rng.normal(size=arrays[0].shape)
 
     def forward(leaves):
         updated, source = leaves[0], leaves[0] if shared else leaves[1]
@@ -562,6 +607,76 @@ def test_communicate_gradcheck(shared):
     for leaf, e in zip(leaves, expected):
         if e is not None:
             assert np.max(np.abs(leaf.grad - e)) < 1e-7
+
+
+def _residual_comm(shared, fused, leaves, A):
+    updated, source = leaves[0], leaves[0] if shared else leaves[1]
+    model = _comm_model(leaves[2:], A)
+    if fused:
+        return _communicate(model, updated, source, residual=True)
+    return ad.add(updated, _communicate(model, updated, source))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "separate-source"])
+def test_residual_communicate_matches_communicate_then_add(shared):
+    """The node that adds the residual against the communication node
+    followed by an add node: ``updated`` takes the incoming gradient before
+    the query, key and value terms, and the recomputed projections give the
+    bits the kept ones gave."""
+    rng = np.random.default_rng(33)
+    arrays, A = _comm_arrays(rng)
+    weight = rng.normal(size=arrays[0].shape)
+    results = []
+    for fused in (True, False):
+        leaves = _fresh(arrays)
+        out = _residual_comm(shared, fused, leaves, A)
+        ad.backward(ad.tsum(ad.mul(out, Tensor(weight))))
+        results.append([out.data] + [t.grad for t in leaves])
+    for a, b in zip(*results):
+        _assert_same(a, b)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared-source", "separate-source"])
+def test_residual_communicate_gradcheck(shared):
+    rng = np.random.default_rng(34)
+    arrays, A = _comm_arrays(rng)
+    weight = rng.normal(size=arrays[0].shape)
+
+    def scalar(arrs):
+        return float((_residual_comm(shared, True, [Tensor(a) for a in arrs], A).data * weight).sum())
+
+    expected = finite_difference_grads(scalar, [a.copy() for a in arrays])
+    leaves = _fresh(arrays)
+    ad.backward(ad.tsum(ad.mul(_residual_comm(shared, True, leaves, A), Tensor(weight))))
+    if shared:
+        assert leaves[1].grad is None
+        expected[1] = None
+    for leaf, e in zip(leaves, expected):
+        if e is not None:
+            assert np.max(np.abs(leaf.grad - e)) < 1e-7
+
+
+def test_rim_unroll_keeps_few_state_arrays_per_step():
+    """A taped baseline step keeps the GRU node's r, z, n, hn block and
+    blended state and the communication node's new state: six (B, M, H)
+    arrays, plus attention weights and masks. With the unblended candidate,
+    the communication output and the three projections kept it was 10.3."""
+    B, M, H, steps = 32, 4, 32, 20
+    rng = np.random.default_rng(27)
+    model = RimModel(rng, 2, H, M, 2)
+    model.comm_value.weight.data[...] = rng.normal(size=(H, H)) * 0.3
+    xs = [Tensor(rng.normal(size=(B, 2))) for _ in range(steps)]
+    state = model.init_state(B)
+    tracemalloc.start()
+    try:
+        for x in xs:
+            state = rim_step(state, x, model)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= steps * 7 * B * M * H * 8, f"{kept / (steps * B * M * H * 8):.2f} state arrays per step"
+    ad.backward(ad.tsum(state))
+    assert model.comm_query.weight.grad is not None
 
 
 def test_blend_gradcheck():
@@ -599,22 +714,37 @@ def _tape_nodes(loss):
     return nodes
 
 
-def test_rim_backward_tape_stays_small():
-    # the quantized adding protocol unrolls 60 RIM steps: this loss took
-    # 2946 tape nodes with composite quantizer and GRU graphs, 1326 with
-    # those fused, and 306 with the blend, the communication block and the
-    # aux loss fused too (five nodes a step)
-    config = adding_config(0, discretize=True)
+def _adding_unroll_tape(discretize):
+    """Tape nodes of one 60-step adding-protocol forward and its loss, at two sequences."""
+    config = adding_config(0, discretize=discretize)
     q, m, t = config.quantizer, config.model, config.task
     rng = np.random.default_rng(0)
-    qcfg = QuantizerConfig(L=q.L, G=q.G, m=m.hidden, beta=q.beta, codebook_loss_weight=q.codebook_loss_weight)
-    quantizer = CommunicationQuantizer(qcfg)
-    quantizer.codebook.set_entries(rng.normal(size=(q.L, qcfg.d)))
+    quantizer = None
+    if discretize:
+        qcfg = QuantizerConfig(L=q.L, G=q.G, m=m.hidden, beta=q.beta, codebook_loss_weight=q.codebook_loss_weight)
+        quantizer = CommunicationQuantizer(qcfg)
+        quantizer.codebook.set_entries(rng.normal(size=(q.L, qcfg.d)))
     model = RimModel(rng, 2, m.hidden, m.modules, m.k, m.att_dim, quantizer=quantizer)
     regressor = RimRegressor(rng, model)
     inputs, targets = gen_adding(2, t.seq_len, t.train_gap, rng)
-    pred = regressor(inputs)
-    qouts = quantizer.take_outputs()
-    assert len(qouts) == t.seq_len + t.train_gap
-    loss = ad.add(ad.mse(pred, Tensor(targets)), combined_aux_loss(qouts, qcfg))
-    assert _tape_nodes(loss) < 400
+    loss = ad.mse(regressor(inputs), Tensor(targets))
+    if discretize:
+        qouts = quantizer.take_outputs()
+        assert len(qouts) == t.seq_len + t.train_gap
+        loss = ad.add(loss, combined_aux_loss(qouts, quantizer.config))
+    return _tape_nodes(loss)
+
+
+def test_rim_backward_tape_stays_small():
+    # the quantized adding protocol unrolls 60 RIM steps: this loss took
+    # 2946 tape nodes with composite quantizer and GRU graphs, 1326 with
+    # those fused, 306 with the blend, the communication block and the aux
+    # loss fused too (five nodes a step), and 246 with the blend inside the
+    # GRU node (four a step: GRU, communication, snap, residual add)
+    assert _adding_unroll_tape(discretize=True) == 60 * 4 + 6
+
+
+def test_baseline_rim_backward_tape_size():
+    # two nodes a step: the GRU node blends and the communication node adds
+    # the residual (244 with a blend node and an add node a step)
+    assert _adding_unroll_tape(discretize=False) == 60 * 2 + 4

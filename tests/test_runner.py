@@ -231,6 +231,34 @@ def test_gridworld_runner_metrics():
         assert 0.0 < record.final[split]["mrr"] <= 1.0
 
 
+@pytest.mark.parametrize("train, evaluate, steps", [(1000, 256, 10), (7, 1, 3)], ids=["256-per-10", "1-per-3"])
+def test_gridworld_splits_have_the_configured_size(monkeypatch, train, evaluate, steps):
+    """Training and every split hold exactly the configured number of
+    transitions, also when it is not a multiple of the episode length
+    (256 used to evaluate 250 rows, and 1 with 3-step episodes 3)."""
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def train_loop(config, quantizer, model, count, loss_fn, splits, evaluate_fn):
+        seen["train"] = count
+        seen.update({name: {len(a) for a in arrays} for name, arrays in splits.items()})
+        raise Stop
+
+    monkeypatch.setattr(runner_module, "_train_loop", train_loop)
+    cfg = config_from_dict(
+        {
+            "kind": "gridworld",
+            "task": {"train_transitions": train, "eval_transitions": evaluate, "episode_steps": steps},
+            "model": {"node_dim": 2, "msg_dim": 4, "gnn_hidden": 4},
+        }
+    )
+    with pytest.raises(Stop):
+        run(cfg)
+    assert seen == {"train": train, "in_dist": {evaluate}, "ood_1": {evaluate}, "ood_2": {evaluate}}
+
+
 def test_transformer_runner_metrics():
     cfg = config_from_dict(
         {

@@ -291,6 +291,21 @@ def test_batched_ranking_memory_is_blocked():
     assert peak_mb < 4, f"ranking peak {peak_mb:.1f} MB"
 
 
+def test_collapsed_ranking_memory_is_chunked():
+    """Every pair near: at N = K = 1024, F = 20 a block of 128 rows has 131k
+    near pairs, 42 MB of differences compared at once; chunked, the call
+    stays under the same bound as the blocks."""
+    latents, preds = np.full((1024, 20), 0.3), np.full((1024, 20), 0.3)
+    tracemalloc.start()
+    try:
+        ranks = rank_next_state(preds, latents, np.arange(1024))
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert ranks.tolist() == [1024] * 1024
+    assert peak_mb < 4, f"ranking peak {peak_mb:.1f} MB"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["predicted", "candidate"])
 def test_rank_rejects_non_finite_latents(bad, where):
