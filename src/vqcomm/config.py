@@ -167,6 +167,8 @@ def _check_cross_fields(c: ExperimentConfig) -> None:
             raise ConfigError("quantizer.discretize needs training.epochs >= 1: the first epoch fits the codebook")
         if quantizer_dim(c) % q.G:
             raise ConfigError(f"quantizer.G = {q.G} does not divide the {quantizer_dim(c)}-wide vectors at {q.site}")
+    if c.kind == "adding" and c.model.k > c.model.modules:
+        raise ConfigError(f"model.k = {c.model.k} must be at most model.modules = {c.model.modules}")
     if c.kind == "gridworld" and (most := max((t.train_objects, *t.ood_objects))) > t.grid_size**2:
         raise ConfigError(f"task.train_objects/ood_objects: cannot place {most} objects on {t.grid_size**2} cells")
     if c.kind == "transformer-toy" and c.model.dim % c.model.heads:

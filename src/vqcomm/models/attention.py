@@ -9,7 +9,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..autodiff import ShapeError, Tensor
 from ..nn import Linear, Module, Parameter, glorot
-from .common import CommunicationQuantizer, ConfigError, snap_site
+from .common import CommunicationQuantizer, ConfigError, check_site, snap_site
 
 
 class MultiHeadAttention(Module):
@@ -46,7 +46,7 @@ class MultiHeadAttention(Module):
 
 
 class TransformerBlock(Module):
-    """residual + (optionally quantized) attention output, then feed-forward."""
+    """residual + attention output (snapped when the block holds a quantizer), then feed-forward."""
 
     def __init__(
         self,
@@ -54,34 +54,27 @@ class TransformerBlock(Module):
         dim: int,
         heads: int,
         ff_hidden: int,
-        apply_discretization: bool = False,
+        quantizer: CommunicationQuantizer | None = None,
         name: str = "block",
     ):
         self.attn = MultiHeadAttention(rng, dim, heads, name=f"{name}.attn")
         self.ff1 = Linear(rng, dim, ff_hidden, name=f"{name}.ff1")
         self.ff2 = Linear(rng, ff_hidden, dim, name=f"{name}.ff2")
-        self.apply_discretization = apply_discretization
+        self.quantizer = quantizer
 
-    def __call__(self, x: Tensor, quantizer: CommunicationQuantizer | None = None) -> Tensor:
-        x = ad.add(x, snap_site(quantizer, self.apply_discretization, self.attn(x, x, x)))
+    def __call__(self, x: Tensor) -> Tensor:
+        x = ad.add(x, snap_site(self.quantizer, "communication_result", self.attn(x, x, x)))
         ff = self.ff2(ad.relu(self.ff1(x)))
         return ad.add(x, ff)
 
 
-def transformer_forward(
-    x: Tensor,
-    blocks: list[TransformerBlock],
-    quantizer: CommunicationQuantizer | None = None,
-) -> Tensor:
-    """Run the block stack; discretization only allowed on the last two blocks."""
-    if quantizer is not None:
-        for i, block in enumerate(blocks):
-            if block.apply_discretization and i < len(blocks) - 2:
-                raise ConfigError(
-                    f"block {i} of {len(blocks)} has discretization enabled; only the last two may"
-                )
+def transformer_forward(x: Tensor, blocks: list[TransformerBlock]) -> Tensor:
+    """Run the block stack; only the last two blocks may hold a quantizer."""
+    for i, block in enumerate(blocks[:-2]):
+        if block.quantizer is not None:
+            raise ConfigError(f"block {i} of {len(blocks)} holds a quantizer; only the last two may")
     for block in blocks:
-        x = block(x, quantizer)
+        x = block(x)
     return x
 
 
@@ -89,7 +82,8 @@ class TransformerClassifier(Module):
     """Token/position embedding, block stack, and a position-0 readout head.
 
     The toy task routes the class of a marked position to the readout slot,
-    so prediction requires communication through attention.
+    so prediction requires communication through attention. A quantizer
+    snaps the attention output of the last two blocks.
     """
 
     def __init__(
@@ -102,6 +96,8 @@ class TransformerClassifier(Module):
         max_len: int,
         quantizer: CommunicationQuantizer | None = None,
     ):
+        if quantizer is not None:
+            check_site("transformer", quantizer.site)
         self.vocab = vocab
         self.embed = Parameter(glorot(rng, vocab + 2, dim), name="embed.tokens")
         self.pos = Parameter(glorot(rng, max_len, dim), name="embed.positions")
@@ -111,23 +107,22 @@ class TransformerClassifier(Module):
                 dim,
                 heads,
                 ff_hidden=2 * dim,
-                apply_discretization=(quantizer is not None and i >= num_blocks - 2),
+                quantizer=quantizer if i >= num_blocks - 2 else None,
                 name=f"block{i}",
             )
             for i in range(num_blocks)
         ]
         self.mark_vec = Parameter(rng.normal(size=dim) * 0.5, name="embed.mark")
         self.readout = Linear(rng, dim, vocab, name="readout")
-        self.quantizer = quantizer
 
     def __call__(self, tokens: np.ndarray, marks: np.ndarray) -> Tensor:
         """tokens: (B, T) ints; marks: (B,) marked position. Logits read from slot 0."""
         B, T = tokens.shape
+        dim = self.embed.shape[1]
         flat = ad.gather_rows(self.embed, tokens.reshape(-1))
-        x = ad.add(ad.reshape(flat, (B, T, self.embed.shape[1])), ad.gather_rows(self.pos, np.arange(T)))
+        x = ad.add(ad.reshape(flat, (B, T, dim)), ad.gather_rows(self.pos, np.arange(T)))
         flag = np.zeros((B, T, 1))
         flag[np.arange(B), marks, 0] = 1.0
         x = ad.add(x, ad.mul(Tensor(flag), self.mark_vec))
-        x = transformer_forward(x, self.blocks, self.quantizer)
-        first = ad.reshape(ad.split(x, T, axis=1)[0], (B, self.embed.shape[1]))
-        return self.readout(first)
+        x = transformer_forward(x, self.blocks)
+        return self.readout(ad.gather_rows(ad.reshape(x, (B * T, dim)), np.arange(B) * T))

@@ -42,6 +42,9 @@ def check_site(architecture: str, site: str) -> str:
 class CommunicationQuantizer:
     """One shared codebook serving every discretization site of a model.
 
+    ``site`` names where in the model the snap sits; the model checks that
+    it has that site and snaps there through ``snap_site``.
+
     Lifecycle: ``collecting`` passes vectors through unchanged while caching
     them for k-means; after ``initialize()`` every ``apply`` call snaps its
     input through the codebook, to the nearest code whenever the entries are
@@ -53,6 +56,7 @@ class CommunicationQuantizer:
     def __init__(
         self,
         config: QuantizerConfig,
+        site: str = "communication_result",
         method: str = "vq",
         temperature: float = 1.0,
         warmup_vectors: int = 512,
@@ -64,6 +68,7 @@ class CommunicationQuantizer:
             # the reservoir keeps the last warmup_vectors rows; [-0:] would keep all
             raise ConfigError(f"warmup_vectors must be at least 1, got {warmup_vectors}")
         self.config = config
+        self.site = site
         self.codebook = Codebook(config.L, config.d)
         self.method = method
         self.temperature = float(temperature)
@@ -125,6 +130,6 @@ class CommunicationQuantizer:
         return self._collected_count
 
 
-def snap_site(quantizer: CommunicationQuantizer | None, here: bool, h: Tensor) -> Tensor:
-    """``h`` through the quantizer when ``here`` is the quantized site of a model that has one."""
-    return quantizer.apply(h) if quantizer is not None and here else h
+def snap_site(quantizer: CommunicationQuantizer | None, site: str, h: Tensor) -> Tensor:
+    """``h`` through the quantizer when the model has one and it sits at ``site``."""
+    return quantizer.apply(h) if quantizer is not None and quantizer.site == site else h

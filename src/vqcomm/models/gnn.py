@@ -27,7 +27,6 @@ class GnnModel(Module):
         msg_dim: int,
         hidden: int = 32,
         quantizer: CommunicationQuantizer | None = None,
-        site: str = "communication_result",
     ):
         self.node_dim = node_dim
         self.action_dim = action_dim
@@ -35,7 +34,8 @@ class GnnModel(Module):
         self.f_edge = MLP(rng, [2 * node_dim, hidden, msg_dim], name="f_edge")
         self.f_node = MLP(rng, [node_dim + action_dim + msg_dim, hidden, node_dim], name="f_node")
         self.quantizer = quantizer
-        self.site = check_site("gnn", site)
+        if quantizer is not None:
+            check_site("gnn", quantizer.site)
 
 
 def _pair_indices(batch: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,12 +68,12 @@ def gnn_step(nodes: Tensor, actions: Tensor, model: GnnModel) -> Tensor:
         flat = ad.reshape(nodes, (B * N, nd))
         recv_idx, send_idx, agg = _pair_indices(B, N)
         pair_in = ad.concat([ad.gather_rows(flat, recv_idx), ad.gather_rows(flat, send_idx)], axis=-1)
-        eps = snap_site(model.quantizer, model.site == "communication_input", model.f_edge(pair_in))  # (B*P, msg_dim)
+        eps = snap_site(model.quantizer, "communication_input", model.f_edge(pair_in))  # (B*P, msg_dim)
         eps = ad.reshape(eps, (B, N * (N - 1), model.msg_dim))
         summed = ad.matmul(Tensor(agg), eps)  # (B, N, msg_dim)
     else:
         summed = Tensor(np.zeros((B, N, model.msg_dim)))
-    summed = snap_site(model.quantizer, model.site == "communication_result", summed)
+    summed = snap_site(model.quantizer, "communication_result", summed)
     return model.f_node(ad.concat([nodes, actions, summed], axis=-1))
 
 
@@ -97,18 +97,9 @@ class ContrastiveWorldModel(Module):
         msg_dim: int,
         hidden: int = 32,
         quantizer: CommunicationQuantizer | None = None,
-        site: str = "communication_result",
     ):
         self.encoder = MLP(rng, [raw_dim, hidden, node_dim], name="encoder")
-        self.gnn = GnnModel(
-            rng,
-            node_dim,
-            action_dim,
-            msg_dim,
-            hidden=hidden,
-            quantizer=quantizer,
-            site=site,
-        )
+        self.gnn = GnnModel(rng, node_dim, action_dim, msg_dim, hidden=hidden, quantizer=quantizer)
 
     def encode(self, obs: np.ndarray) -> Tensor:
         return self.encoder(Tensor(obs))

@@ -33,7 +33,6 @@ class RimModel(Module):
         k: int,
         att_dim: int = 16,
         quantizer: CommunicationQuantizer | None = None,
-        site: str = "communication_result",
     ):
         if k < 1 or k > num_modules:
             raise ConfigError(f"need 1 <= k <= M, got k={k}, M={num_modules}")
@@ -51,8 +50,8 @@ class RimModel(Module):
         self.comm_value = Linear(rng, hidden, hidden, bias=False, name="comm_value")
         self.comm_value.weight.data[...] = 0.0
         self.quantizer = quantizer
-        self.site = check_site("rim", site)
         if quantizer is not None:
+            site = check_site("rim", quantizer.site)
             expected = input_dim if site == "raw_input" else hidden
             if quantizer.config.m != expected:
                 raise ConfigError(
@@ -154,8 +153,8 @@ def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
     candidates into the state, and the communication node adds its result
     to that. A snap splits the node it sits in.
     """
-    site = model.site if model.quantizer is not None else None
-    x_t = snap_site(model.quantizer, site == "raw_input", x_t)
+    site = model.quantizer.site if model.quantizer is not None else None
+    x_t = snap_site(model.quantizer, "raw_input", x_t)
 
     scores = input_attention_scores(model, state, x_t)
     mask = top_k_mask(scores, model.k)  # (B, M)
@@ -168,7 +167,7 @@ def rim_step(state: Tensor, x_t: Tensor, model: RimModel) -> Tensor:
     else:
         updated = model.gru(state, x_t, mask)  # inactive modules keep their state
 
-    comm_source = snap_site(model.quantizer, site == "communication_input", updated)
+    comm_source = snap_site(model.quantizer, "communication_input", updated)
     if site == "communication_result":
         return ad.add(updated, model.quantizer.apply(_communicate(model, updated, comm_source)))
     return _communicate(model, updated, comm_source, residual=True)

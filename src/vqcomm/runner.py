@@ -177,6 +177,7 @@ def _build_quantizer(config: ExperimentConfig) -> CommunicationQuantizer | None:
         return None
     return CommunicationQuantizer(
         QuantizerConfig(q.L, q.G, quantizer_dim(config), beta=q.beta, codebook_loss_weight=q.codebook_loss_weight),
+        site=q.site,
         method=q.method,
         temperature=q.temperature,
         warmup_vectors=q.warmup_vectors,
@@ -281,7 +282,6 @@ def run_adding(config: ExperimentConfig) -> RunRecord:
         k=config.model.k,
         att_dim=config.model.att_dim,
         quantizer=quantizer,
-        site=config.quantizer.site,
     )
     regressor = RimRegressor(init_rng, model)
 
@@ -332,7 +332,6 @@ def run_gridworld(config: ExperimentConfig) -> RunRecord:
         msg_dim=config.model.msg_dim,
         hidden=config.model.gnn_hidden,
         quantizer=quantizer,
-        site=config.quantizer.site,
     )
 
     def loss_fn(idx):

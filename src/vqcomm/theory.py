@@ -173,9 +173,9 @@ def gaussian_variance_sweep(
     m: int,
     L_values: list[int],
     G_values: list[int],
-    samples: int = 256,
-    trials: int = 20,
-    seed: int = 0,
+    samples: int,
+    trials: int,
+    seed: int,
 ) -> list[dict]:
     """Total variance retained by quantized standard-Gaussian vectors.
 
@@ -297,7 +297,7 @@ def attention_robustness(
         t_items = Tensor(items)
         scores = ad.scale(ad.matmul(t_items, query), 1.0 / math.sqrt(dim))
         alpha = ad.softmax(ad.transpose(scores))  # (B, 1, D+1)
-        out = snap_site(quantizer, True, ad.reshape(ad.matmul(alpha, t_items), (items.shape[0], dim)))
+        out = snap_site(quantizer, "communication_result", ad.reshape(ad.matmul(alpha, t_items), (items.shape[0], dim)))
         return ad.reshape(
             ad.matmul(t_items, ad.reshape(out, (items.shape[0], dim, 1))),
             (items.shape[0], items.shape[1]),

@@ -219,12 +219,13 @@ def test_negative_seed_rejected_for_every_kind(kind):
         ({"kind": "gridworld", "task": {"ood_objects": "3,0"}}, "task.ood_objects"),
         ({"kind": "gaussian-analysis", "task": {"G_values": "1,3"}}, "task.G_values"),
         ({"kind": "gaussian-analysis", "task": {"G_values": "1,0"}}, "task.G_values"),
+        ({"kind": "adding", "model": {"k": 5, "modules": 4}}, "model.k"),
     ],
-    ids=["optimizer", "zero_ood_object", "G_not_dividing_m", "zero_G"],
+    ids=["optimizer", "zero_ood_object", "G_not_dividing_m", "zero_G", "k_above_modules"],
 )
 def test_field_rules_name_the_field(data, field):
-    # the optimizer used to be rejected only after the data and the model were built, and a G that does
-    # not divide gaussian_m only after the variance rows of the earlier G values were computed
+    # the optimizer and a k above modules used to be rejected only after the data and the model were built,
+    # and a G that does not divide gaussian_m only after the variance rows of the earlier G values were computed
     with pytest.raises(ConfigError, match=field):
         config_from_dict(data)
 

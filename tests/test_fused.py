@@ -125,23 +125,25 @@ def _composite_rim_step(state, x_t, model, outputs, pair=True):
     """``rim_step`` as primitive tape ops: transposes around a composite GRU,
     a three-node blend and an eight-node communication block."""
 
-    def snap(here, h):
-        return _composite_snap(model.quantizer, h, outputs, pair) if model.quantizer is not None and here else h
+    site = model.quantizer.site if model.quantizer is not None else None
 
-    x_t = snap(model.site == "raw_input", x_t)
+    def snap(here, h):
+        return _composite_snap(model.quantizer, h, outputs, pair) if here else h
+
+    x_t = snap(site == "raw_input", x_t)
     mask = top_k_mask(input_attention_scores(model, state, x_t), model.k)
     gru = model.gru
     cand_mfirst = _composite_gru(ad.transpose(state, 0, 1), x_t, gru.w_x, gru.w_h, gru.b_x, gru.b_h)
     cand = ad.transpose(cand_mfirst, 0, 1)
-    if model.quantizer is not None and model.site == "recurrent_update":
+    if site == "recurrent_update":
         cand = ad.add(state, snap(True, ad.sub(cand, state)))
     updated = ad.add(ad.mul(Tensor(mask[:, :, None]), cand), ad.mul(Tensor(1.0 - mask[:, :, None]), state))
-    source = snap(model.site == "communication_input", updated)
+    source = snap(site == "communication_input", updated)
     q = ad.matmul(updated, model.comm_query.weight)
     k = ad.matmul(source, model.comm_key.weight)
     v = ad.matmul(source, model.comm_value.weight)
     att = ad.softmax(ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / math.sqrt(model.att_dim)))
-    h = snap(model.site == "communication_result", ad.matmul(att, v))
+    h = snap(site == "communication_result", ad.matmul(att, v))
     return ad.add(updated, h)
 
 
@@ -510,9 +512,9 @@ def _rim_unroll(site, steps, step_fn):
     quantizer = None
     if site is not None:
         cfg = QuantizerConfig(L=5, G=2, m=D if site == "raw_input" else H, beta=0.3, codebook_loss_weight=0.7)
-        quantizer = CommunicationQuantizer(cfg)
+        quantizer = CommunicationQuantizer(cfg, site=site)
         quantizer.codebook.set_entries(rng.normal(size=(5, cfg.d)) * 0.5)
-    model = RimModel(rng, D, H, M, 2, 5, quantizer=quantizer, site=site or "communication_result")
+    model = RimModel(rng, D, H, M, 2, 5, quantizer=quantizer)
     model.comm_value.weight.data[...] = rng.normal(size=(H, H)) * 0.3
     state0 = Tensor(rng.normal(size=(B, M, H)) * 0.5, requires_grad=True)
     xs = [Tensor(rng.normal(size=(B, D)), requires_grad=True) for _ in range(steps)]

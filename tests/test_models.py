@@ -25,8 +25,8 @@ from vqcomm.quantizer import QuantizerConfig, quantize
 from oracles import attention_reference
 
 
-def _quantizer(L, G, m, rng, spread=1.0):
-    q = CommunicationQuantizer(QuantizerConfig(L=L, G=G, m=m))
+def _quantizer(L, G, m, rng, spread=1.0, **kwargs):
+    q = CommunicationQuantizer(QuantizerConfig(L=L, G=G, m=m), **kwargs)
     q.codebook.set_entries(rng.normal(size=(L, m // G)) * spread)
     return q
 
@@ -157,8 +157,8 @@ def test_gnn_matches_direct_formula_oracle():
 
 def test_gnn_communication_input_site_quantizes_edges():
     rng = np.random.default_rng(8)
-    quantizer = _quantizer(8, 2, 6, rng, spread=2.0)
-    model = GnnModel(rng, node_dim=4, action_dim=2, msg_dim=6, quantizer=quantizer, site="communication_input")
+    quantizer = _quantizer(8, 2, 6, rng, spread=2.0, site="communication_input")
+    model = GnnModel(rng, node_dim=4, action_dim=2, msg_dim=6, quantizer=quantizer)
     nodes = rng.normal(size=(1, 3, 4))
     actions = rng.normal(size=(1, 3, 2))
     delta = gnn_step(Tensor(nodes), Tensor(actions), model)
@@ -182,8 +182,9 @@ def test_gnn_communication_input_site_quantizes_edges():
 
 
 def test_gnn_invalid_site_rejected():
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError, match="invalid"):
-        GnnModel(np.random.default_rng(0), 3, 2, 4, site="recurrent_update")
+        GnnModel(rng, 3, 2, 4, quantizer=_quantizer(4, 2, 4, rng, site="recurrent_update"))
 
 
 def test_contrastive_loss_gradients_flow():
@@ -227,7 +228,7 @@ def test_transformer_disabled_quantizer_is_vanilla():
     rng = np.random.default_rng(10)
     blocks = [TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, name=f"b{i}") for i in range(2)]
     x = rng.normal(size=(4, 8))
-    out = transformer_forward(Tensor(x), blocks, quantizer=None)
+    out = transformer_forward(Tensor(x), blocks)
     assert np.max(np.abs(out.data - _transformer_reference(blocks, x))) < 1e-12
 
 
@@ -242,7 +243,7 @@ def test_transformer_two_blocks_matches_oracle():
 def test_transformer_fixed_point_quantization():
     rng = np.random.default_rng(12)
     quantizer = _quantizer(4, 2, 8, rng)
-    block = TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, apply_discretization=True)
+    block = TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, quantizer=quantizer)
     x = rng.normal(size=(3, 8))
     raw_att = block.attn(Tensor(x), Tensor(x), Tensor(x))
     # snap the attention output onto the codebook, then solve for an input
@@ -265,24 +266,30 @@ def test_transformer_early_discretization_rejected():
     rng = np.random.default_rng(13)
     quantizer = _quantizer(4, 2, 8, rng)
     blocks = [
-        TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, apply_discretization=(i == 0), name=f"b{i}")
+        TransformerBlock(rng, dim=8, heads=2, ff_hidden=16, quantizer=quantizer if i == 0 else None, name=f"b{i}")
         for i in range(3)
     ]
     with pytest.raises(ConfigError, match="last two"):
-        transformer_forward(Tensor(rng.normal(size=(4, 8))), blocks, quantizer)
+        transformer_forward(Tensor(rng.normal(size=(4, 8))), blocks)
 
 
 def test_transformer_classifier_discretizes_last_two_only():
     rng = np.random.default_rng(14)
     quantizer = _quantizer(8, 2, 8, rng)
     model = TransformerClassifier(rng, vocab=5, dim=8, heads=2, num_blocks=3, max_len=10, quantizer=quantizer)
-    flags = [b.apply_discretization for b in model.blocks]
-    assert flags == [False, True, True]
+    assert [b.quantizer for b in model.blocks] == [None, quantizer, quantizer]
     tokens = rng.integers(0, 5, size=(2, 6))
     marks = rng.integers(1, 6, size=2)
     logits = model(tokens, marks)
     assert logits.shape == (2, 5)
     assert len(quantizer.take_outputs()) == 2
+
+
+def test_transformer_invalid_site_rejected():
+    rng = np.random.default_rng(15)
+    quantizer = _quantizer(8, 2, 8, rng, site="communication_input")
+    with pytest.raises(ConfigError, match="invalid"):
+        TransformerClassifier(rng, vocab=5, dim=8, heads=2, num_blocks=3, max_len=10, quantizer=quantizer)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +405,8 @@ def test_rim_communication_rows_sum_to_one(monkeypatch):
 
 def test_rim_recurrent_update_site_matches_variant_oracle():
     rng = np.random.default_rng(20)
-    quantizer = _quantizer(6, 2, 6, rng, spread=0.5)
-    model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=quantizer, site="recurrent_update")
+    quantizer = _quantizer(6, 2, 6, rng, spread=0.5, site="recurrent_update")
+    model = RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=quantizer)
     state = rng.normal(size=(2, 3, 6)) * 0.3
     x = rng.normal(size=(2, 2))
     # zero communication values: the new state is the updated state
@@ -424,14 +431,20 @@ def test_rim_default_site_equals_communication_result():
     rng1 = np.random.default_rng(21)
     rng2 = np.random.default_rng(21)
     q1 = _quantizer(4, 2, 6, np.random.default_rng(99))
-    q2 = _quantizer(4, 2, 6, np.random.default_rng(99))
+    q2 = _quantizer(4, 2, 6, np.random.default_rng(99), site="communication_result")
     m1 = RimModel(rng1, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=q1)
-    m2 = RimModel(rng2, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=q2, site="communication_result")
+    m2 = RimModel(rng2, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=q2)
     state = np.random.default_rng(1).normal(size=(2, 3, 6))
     x = np.random.default_rng(2).normal(size=(2, 2))
     out1 = rim_step(Tensor(state), Tensor(x), m1)
     out2 = rim_step(Tensor(state), Tensor(x), m2)
     assert np.array_equal(out1.data, out2.data)
+
+
+def test_rim_invalid_site_rejected():
+    rng = np.random.default_rng(22)
+    with pytest.raises(ConfigError, match="invalid"):
+        RimModel(rng, input_dim=2, hidden=6, num_modules=3, k=2, quantizer=_quantizer(4, 2, 6, rng, site="readout"))
 
 
 def test_rim_quantizer_dim_validation():
@@ -460,8 +473,7 @@ def test_shared_codebook_identity_across_sites():
     rng = np.random.default_rng(24)
     quantizer = _quantizer(8, 2, 8, rng)
     model = TransformerClassifier(rng, vocab=4, dim=8, heads=2, num_blocks=3, max_len=8, quantizer=quantizer)
-    assert model.blocks[1].apply_discretization and model.blocks[2].apply_discretization
-    assert model.quantizer is quantizer
+    assert model.blocks[1].quantizer is quantizer and model.blocks[2].quantizer is quantizer
     tokens = rng.integers(0, 4, size=(2, 5))
     marks = rng.integers(1, 5, size=2)
     model(tokens, marks)

@@ -26,3 +26,15 @@ def test_adding_base_record_hash_at_blas_threads(threads):
     assert result.returncode == 0, result.stdout + result.stderr
     name, _, status = result.stdout.split()
     assert (name, status) == ("adding-base", "ok")
+
+
+def test_transformer_record_hashes():
+    """The transformer toy task, with and without its quantized blocks, keeps its seed-0 records."""
+    result = subprocess.run(
+        [sys.executable, str(SCRIPT), "transformer-base", "transformer-vq"], capture_output=True, text=True, timeout=600
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert [(line.split()[0], line.split()[2]) for line in result.stdout.splitlines()] == [
+        ("transformer-base", "ok"),
+        ("transformer-vq", "ok"),
+    ]

@@ -7,7 +7,7 @@ import pytest
 
 from vqcomm import autodiff
 from vqcomm import runner as runner_module
-from vqcomm.config import config_from_dict
+from vqcomm.config import FIELD_RULES, config_from_dict
 from vqcomm.models import common
 from vqcomm.models.common import ConfigError
 from vqcomm.quantizer import codebook_stats
@@ -349,6 +349,46 @@ def _capture_quantizer(monkeypatch, built):
         return built[-1]
 
     monkeypatch.setattr(runner_module, "_build_quantizer", capturing)
+
+
+TINY_QUANTIZED = {
+    "adding": TINY_ADDING,
+    "gridworld": {
+        "kind": "gridworld",
+        "task": {"train_transitions": 10, "eval_transitions": 5, "episode_steps": 5},
+        "model": {"node_dim": 3, "msg_dim": 4, "gnn_hidden": 8},
+        "quantizer": {"discretize": True, "L": 4, "G": 2},
+    },
+    "transformer-toy": {
+        "kind": "transformer-toy",
+        "task": {"train_count": 4, "eval_count": 4, "vocab": 4, "train_len": 4, "test_len": 6, "max_len": 6},
+        "model": {"dim": 8, "heads": 2, "blocks": 3},
+        "quantizer": {"discretize": True, "L": 4, "G": 2},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "kind, site", [(kind, site) for kind in TINY_QUANTIZED for site in FIELD_RULES[kind]["quantizer"]["site"]]
+)
+def test_built_quantizer_carries_the_configured_site(monkeypatch, kind, site):
+    """The runner hands the configured site to the quantizer, and the kind's model accepts it."""
+    built, trained = [], []
+    _capture_quantizer(monkeypatch, built)
+
+    class Stop(Exception):
+        pass
+
+    def train_loop(config, quantizer, *args):
+        trained.append(quantizer)
+        raise Stop
+
+    monkeypatch.setattr(runner_module, "_train_loop", train_loop)
+    base = TINY_QUANTIZED[kind]
+    with pytest.raises(Stop):
+        run(config_from_dict({**base, "quantizer": {**base["quantizer"], "site": site}}))
+    assert trained == built
+    assert [q.site for q in built] == [site]
 
 
 @pytest.mark.parametrize("method", ["vq", "gumbel"])
